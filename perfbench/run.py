@@ -2,16 +2,16 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload serve_open --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload serve_open --seed 1 --seconds 30 --trace 0
 
-``--workload`` is one of ``zoo_alexnet``, ``zoo_vgg16``, ``zoo_yolov2_tiny``,
-``serve_open`` and ``serve_bulk`` (see ``BENCHMARK.json`` for why each
-exists), or ``all`` to run every workload in turn.
+``--workload`` is one of ``zoo_offline``, ``serve_open`` and ``serve_bulk``
+(see ``BENCHMARK.json`` for why each exists), or ``all`` to run every
+workload in turn.
 
 * ``--trace 0`` measures the named workload untraced, in a fresh interpreter,
   and reports every end-to-end metric of ``BENCHMARK.json``.
 * ``--trace 1`` is the traced run.  It profiles every layer whatever the
-  workload: the zoo models, then ``serve_open``, then ``serve_bulk``, each
+  workload: ``zoo_offline``, then ``serve_open``, then ``serve_bulk``, each
   in a fresh interpreter with an untraced and a traced phase, and reports
   every per-layer metric.  The layers both serving workloads exercise
   (router, scheduler, transport, worker service, shm store) are reported
@@ -54,8 +54,8 @@ BACKEND_CACHE = BUILD_DIR / "repro-backends"
 sys.path.insert(0, str(BENCH_DIR))
 from workloads import WORKLOADS  # noqa: E402
 
-#: Share of ``--seconds`` each layer group gets in the traced run.
-PROFILE_SHARES = {"zoo": 0.4, "serve_open": 0.3, "serve_bulk": 0.3}
+#: Share of ``--seconds`` each workload gets in the traced run.
+PROFILE_SHARES = {"zoo_offline": 0.4, "serve_open": 0.3, "serve_bulk": 0.3}
 #: Wall-clock limit for one child interpreter, so a hung child can never
 #: keep the command past its own time limit.
 CHILD_TIMEOUT_S = 170.0
@@ -64,6 +64,9 @@ BUILD_TIMEOUT_S = 600.0
 #: How long a child's leftover helper processes may take to exit.
 GROUP_GRACE_S = 5.0
 PR_SET_CHILD_SUBREAPER = 36
+#: Thread-count settings of the BLAS libraries NumPy may be built with.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 class BenchError(RuntimeError):
@@ -117,6 +120,11 @@ def child_env() -> dict:
     env["REPRO_BACKEND_CACHE"] = str(BACKEND_CACHE)
     for name in ("REPRO_BACKEND", "REPRO_NUM_THREADS", "REPRO_NO_CC"):
         env.pop(name, None)
+    # The plan already fans tiles out over nproc threads, and each tile's
+    # float matmul would start a BLAS thread team of its own: more threads
+    # than CPUs, which measures the scheduler.  BLAS runs one thread here.
+    for name in BLAS_THREAD_VARS:
+        env[name] = "1"
     return env
 
 
@@ -262,7 +270,7 @@ def run_workload(workload: str, args, env: dict, spec: dict) -> dict:
         }
         primary = "serve_bulk" if workload == "serve_bulk" else "serve_open"
         secondary = "serve_open" if primary == "serve_bulk" else "serve_bulk"
-        emitted = {**children["zoo"]["metrics"],
+        emitted = {**children["zoo_offline"]["metrics"],
                    **children[secondary]["layers"],
                    **children[primary]["layers"]}
         metrics = select_metrics(spec["per_layer"], emitted)

@@ -1,4 +1,4 @@
-"""Short self-test of the benchmark (about two minutes on a 2-CPU host).
+"""Short self-test of the benchmark (about a minute on a 2-CPU host).
 
     python3 perfbench/selftest.py
 
@@ -140,7 +140,7 @@ def main() -> int:
           f"ratio {check['cache_hit_ratio']:.3f} matches repeat share "
           f"{check['expected_repeat_share']:.3f}")
 
-    for workload in ("zoo_yolov2_tiny", "serve_open", "serve_bulk"):
+    for workload in ("zoo_offline", "serve_open", "serve_bulk"):
         process = run(["--workload", workload, "--seed", "1", "--seconds",
                        SECONDS, "--trace", "0", "--corrupt"])
         assert process.returncode == 1, (workload, process.returncode,

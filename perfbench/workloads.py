@@ -4,8 +4,8 @@
 plan caches, thread pools and peak RSS never carry over from one workload
 to the next::
 
-    python3 perfbench/workloads.py --workload zoo_alexnet --seed 1 \
-        --seconds 15 --mode measure
+    python3 perfbench/workloads.py --workload zoo_offline --seed 1 \
+        --seconds 30 --mode measure
 
 It prints one JSON object as its last line of standard output.
 
@@ -13,9 +13,9 @@ Modes:
 
 * ``measure`` -- the untraced run: set up ``SETUP_REPEATS`` times, measure
   the workload for ``--seconds`` and report the end-to-end metrics.
-* ``profile`` -- the traced run of one layer group (``zoo``, ``serve_open``
-  or ``serve_bulk``): an untraced phase, then a traced phase of the same
-  length, so that the ratio of the two gives the tracing overhead
+* ``profile`` -- the traced run of one workload: an untraced phase, then
+  a traced phase of the same length, so that the ratio of the two gives
+  the tracing overhead
   (``serve_bulk`` adds a third phase against an in-process service).
   Tracing is timing taken here, around calls into each layer's public
   functions; no code under ``src/`` is changed or wrapped.
@@ -56,9 +56,10 @@ ZOO_BATCH = 16
 #: Distinct input images per zoo model; batches draw from this pool, which
 #: bounds the interpreter reference (about 0.3 s per AlexNet image).
 ZOO_POOL = 4
-#: Share of a zoo run spent on batch throughput; the rest times single
-#: images.  The two alternate in blocks of ``ZOO_BLOCK_S`` so that both
-#: sample the host over the whole run, not one half each.
+#: ``zoo_offline`` gives each model in turn a block of ``ZOO_BLOCK_S``:
+#: this share of it on batch throughput, the rest timing single images.
+#: The turns cycle over the whole run, so every model and both kinds of
+#: call sample the host over the whole run, not a third or a half each.
 ZOO_THROUGHPUT_SHARE = 0.6
 ZOO_BLOCK_S = 1.0
 #: Untimed batch-16 calls before the throughput phase (arena, tile pool).
@@ -100,8 +101,7 @@ SETUP_REPEATS = 5
 #: Time allowed for one response before the run counts it as failed.
 RESULT_TIMEOUT_S = 30.0
 
-WORKLOADS = ("zoo_alexnet", "zoo_vgg16", "zoo_yolov2_tiny",
-             "serve_open", "serve_bulk")
+WORKLOADS = ("zoo_offline", "serve_open", "serve_bulk")
 
 
 # ---------------------------------------------------------------- helpers
@@ -199,7 +199,12 @@ def xor_word_ops(network, step) -> int:
 
 
 class ZooRun:
-    """One zoo model: set-up, timed phases and verification."""
+    """One zoo model: set-up, timed rounds and verification.
+
+    A timed phase is ``start_phase``, then any mix of ``batch_round`` and
+    ``single_round`` calls, then ``phase_result``; ``zoo_phase`` drives the
+    three models through one phase together.
+    """
 
     def __init__(self, model: str, seed: int, engine, ledger: Ledger,
                  corrupt: bool = False):
@@ -215,6 +220,9 @@ class ZooRun:
         self.outputs: List[tuple] = []
         self.setups: List[dict] = []
         self.network = None
+        self.plan = None
+        self.traced = False
+        self.samples: Dict[str, list] = {}
 
     def setup(self) -> None:
         for _ in range(SETUP_REPEATS):
@@ -243,102 +251,78 @@ class ZooRun:
         for _ in range(ZOO_WARM_CALLS):
             self._call(ZOO_BATCH)
 
-    @staticmethod
-    def _alternate(seconds: float, batch_round, single_round) -> None:
-        """Alternate blocks of batch and single-image rounds for ``seconds``.
+    def start_phase(self, traced: bool) -> None:
+        """Untraced: batch-16 and single-image ``run_batch`` wall times.
 
-        Each block runs at least one round of each kind.
-        """
-        end = time.perf_counter() + seconds
-        while True:
-            block = time.perf_counter()
-            switch = block + ZOO_BLOCK_S * ZOO_THROUGHPUT_SHARE
-            batch_round()
-            while time.perf_counter() < switch:
-                batch_round()
-            single_round()
-            while time.perf_counter() < block + ZOO_BLOCK_S:
-                single_round()
-            if time.perf_counter() >= end:
-                return
-
-    def phase(self, seconds: float) -> dict:
-        """Untraced batch-16 throughput and single-image latency."""
-        batch_s: List[float] = []
-        single_s: List[float] = []
-        self._alternate(seconds,
-                        lambda: batch_s.append(self._call(ZOO_BATCH)[0]),
-                        lambda: single_s.append(self._call(1)[0]))
-        return {
-            "images_per_s": ZOO_BATCH / _median(batch_s),
-            "latency_p50_ms": _median(single_s) * 1000.0,
-            "batch_calls": len(batch_s),
-            "single_calls": len(single_s),
-        }
-
-    def traced_phase(self, seconds: float) -> dict:
-        """Same calls, plus per-step time and engine overhead.
-
-        Each batch round times ``run_batch`` at batch 16 (its wall time
-        minus the step time it reports is the engine's own overhead), then
-        one ``ExecutionPlan.execute(step_times=...)`` at batch 16 for the
-        per-step profile.  Single-image rounds time ``run_batch`` at batch 1.
+        Traced: the same calls, plus the engine overhead of each (wall time
+        minus the step time it reports), and after every batch-16 call one
+        ``ExecutionPlan.execute(step_times=...)`` at batch 16 for the
+        per-step profile.
         """
         from repro.core import plan as plan_mod
 
-        plan = plan_mod.get_plan(self.network)
-        threads = self.engine.num_threads
-        batch_s: List[float] = []
-        overhead16: List[float] = []
-        steps: List[List[float]] = [[] for _ in plan.steps]
-        single_s: List[float] = []
-        overhead1: List[float] = []
+        self.traced = traced
+        self.plan = plan_mod.get_plan(self.network)
+        self.samples = {"batch": [], "single": [], "overhead16": [],
+                        "overhead1": [],
+                        "steps": [[] for _ in self.plan.steps]}
 
-        def batch_round() -> None:
-            wall, report = self._call(ZOO_BATCH)
-            batch_s.append(wall)
-            overhead16.append(wall - sum(report.layer_wall_ms.values()) / 1e3)
-            index, batch = self._batch(ZOO_BATCH)
-            step_times: list = []
-            out = plan.execute(batch, threads=threads, step_times=step_times)
-            self.ledger.attempted += 1
-            self.outputs.append((index, out.data))
-            for position, (_, step_s) in enumerate(step_times):
-                steps[position].append(step_s)
+    def batch_round(self) -> None:
+        wall, report = self._call(ZOO_BATCH)
+        self.samples["batch"].append(wall)
+        if not self.traced:
+            return
+        self.samples["overhead16"].append(
+            wall - sum(report.layer_wall_ms.values()) / 1e3)
+        index, batch = self._batch(ZOO_BATCH)
+        step_times: list = []
+        out = self.plan.execute(batch, threads=self.engine.num_threads,
+                                step_times=step_times)
+        self.ledger.attempted += 1
+        self.outputs.append((index, out.data))
+        for position, (_, step_s) in enumerate(step_times):
+            self.samples["steps"][position].append(step_s)
 
-        def single_round() -> None:
-            wall, report = self._call(1)
-            single_s.append(wall)
-            overhead1.append(wall - sum(report.layer_wall_ms.values()) / 1e3)
+    def single_round(self) -> None:
+        wall, report = self._call(1)
+        self.samples["single"].append(wall)
+        if self.traced:
+            self.samples["overhead1"].append(
+                wall - sum(report.layer_wall_ms.values()) / 1e3)
 
-        self._alternate(seconds, batch_round, single_round)
-
+    def phase_result(self) -> dict:
+        samples = self.samples
+        result = {
+            "images_per_s": ZOO_BATCH / _median(samples["batch"]),
+            "latency_p50_ms": _median(samples["single"]) * 1000.0,
+            "batch_calls": len(samples["batch"]),
+            "single_calls": len(samples["single"]),
+        }
+        if not self.traced:
+            return result
         metrics = {}
         xor_ops = 0
         xor_s = 0.0
-        for position, step in enumerate(plan.steps):
+        for position, step in enumerate(self.plan.steps):
             layer_name = self.network.layers[step.layer_start].name
-            step_s = _median(steps[position])
+            step_s = _median(samples["steps"][position])
             metrics[f"plan.step_ms.{self.model}.{layer_name}"] = (
                 step_s * 1000.0 / ZOO_BATCH, "ms")
             ops = xor_word_ops(self.network, step)
             if ops:
                 xor_ops += ops * ZOO_BATCH
                 xor_s += step_s
-        backends = plan.backend_report()["steps"].values()
+        backends = self.plan.backend_report()["steps"].values()
         metrics[f"backends.compiled_steps.{self.model}"] = (
             sum(1 for name in backends if name != "numpy"), "count")
         metrics[f"backends.xor_gops.{self.model}"] = (
             xor_ops / xor_s / 1e9, "Gop/s")
         metrics[f"engine.overhead_ms.{self.model}.b16"] = (
-            _median(overhead16) * 1000.0, "ms")
+            _median(samples["overhead16"]) * 1000.0, "ms")
         metrics[f"engine.overhead_ms.{self.model}.b1"] = (
-            _median(overhead1) * 1000.0, "ms")
-        return {
-            "images_per_s": ZOO_BATCH / _median(batch_s),
-            "latency_p50_ms": _median(single_s) * 1000.0,
-            "metrics": metrics,
-        }
+            _median(samples["overhead1"]) * 1000.0, "ms")
+        result["metrics"] = metrics
+        return result
 
     def verify(self) -> None:
         from repro.core.engine import PhoneBitEngine
@@ -357,6 +341,44 @@ class ZooRun:
         return plan_mod.get_plan(self.network).backend_report()["steps"]
 
 
+def zoo_phase(runs: List[ZooRun], seconds: float, traced: bool) -> dict:
+    """Time every model for ``seconds``, in turns of ``ZOO_BLOCK_S`` each.
+
+    In each turn a model runs batch-16 rounds for ``ZOO_THROUGHPUT_SHARE``
+    of the block, then single-image rounds for the rest, at least one of
+    each; the turns cycle through the models until the time is up, so
+    every model samples the host over the whole phase.  Returns each
+    model's ``phase_result`` and the geometric means over the models.
+    """
+    for run in runs:
+        run.start_phase(traced)
+    end = time.perf_counter() + seconds
+    while True:
+        for run in runs:
+            block = time.perf_counter()
+            switch = block + ZOO_BLOCK_S * ZOO_THROUGHPUT_SHARE
+            run.batch_round()
+            while time.perf_counter() < switch:
+                run.batch_round()
+            run.single_round()
+            while time.perf_counter() < block + ZOO_BLOCK_S:
+                run.single_round()
+        if time.perf_counter() >= end:
+            break
+    models = {run.model: run.phase_result() for run in runs}
+    return {
+        "models": models,
+        "images_per_s": _geomean(m["images_per_s"] for m in models.values()),
+        "latency_p50_ms": _geomean(m["latency_p50_ms"]
+                                   for m in models.values()),
+    }
+
+
+def _geomean(values) -> float:
+    values = list(values)
+    return float(np.exp(np.mean(np.log(values))))
+
+
 def _flip_one_bit(array: np.ndarray) -> np.ndarray:
     """A copy of ``array`` with one bit changed (the self-test's fault)."""
     copy = np.array(array)
@@ -371,55 +393,72 @@ def zoo_engine():
     return PhoneBitEngine(backend="auto", num_threads=nproc())
 
 
-def measure_zoo(model: str, seed: int, seconds: float, corrupt: bool) -> dict:
-    run = ZooRun(model, seed, zoo_engine(), Ledger(), corrupt)
-    run.setup()
-    run.warm()
-    result = run.phase(seconds)
+def zoo_runs(seed: int, corrupt: bool):
+    """Set up and warm every zoo model on one shared engine.
+
+    ``corrupt`` reaches only the last model, so a corrupted run has exactly
+    one wrong output.
+    """
+    engine = zoo_engine()
+    ledger = Ledger()
+    runs = [ZooRun(model, seed, engine, ledger,
+                   corrupt and model == list(ZOO_MODELS)[-1])
+            for model in ZOO_MODELS]
+    for run in runs:
+        run.setup()
+    for run in runs:
+        run.warm()
+    return runs, ledger
+
+
+def _setup_sum(runs: List[ZooRun], key: str) -> float:
+    """Per-model median of a set-up time, summed over the models."""
+    return sum(_median(s[key] for s in run.setups) for run in runs)
+
+
+def measure_zoo(seed: int, seconds: float, corrupt: bool) -> dict:
+    runs, ledger = zoo_runs(seed, corrupt)
+    result = zoo_phase(runs, seconds, traced=False)
     peak_rss = vm_hwm_mb()
-    run.verify()
+    for run in runs:
+        run.verify()
     return {
-        "ledger": run.ledger.to_dict(),
+        "ledger": ledger.to_dict(),
         "metrics": {
-            "setup_s": (_median(s["setup_s"] for s in run.setups), "s"),
+            "setup_s": (_setup_sum(runs, "setup_s"), "s"),
             "peak_rss_mb": (peak_rss, "MB"),
             "images_per_s": (result["images_per_s"], "1/s"),
             "latency_p50_ms": (result["latency_p50_ms"], "ms"),
         },
         "detail": {
-            "setups": run.setups,
-            "batch_calls": result["batch_calls"],
-            "single_calls": result["single_calls"],
+            "models": result["models"],
+            "setups": {run.model: run.setups for run in runs},
             "threads": nproc(),
-            "plan_step_backends": run.backend_steps(),
+            "plan_step_backends": {run.model: run.backend_steps()
+                                   for run in runs},
         },
     }
 
 
 def profile_zoo(seed: int, seconds: float, corrupt: bool) -> dict:
-    engine = zoo_engine()
-    ledger = Ledger()
-    metrics: Dict[str, tuple] = {}
-    detail: Dict[str, dict] = {}
-    build_s = warm_s = 0.0
-    share = seconds / len(ZOO_MODELS) / 2.0
-    for model in ZOO_MODELS:
-        run = ZooRun(model, seed, engine, ledger, corrupt)
-        run.setup()
-        build_s += _median(s["build_s"] for s in run.setups)
-        warm_s += _median(s["warm_s"] for s in run.setups)
-        run.warm()
-        untraced = run.phase(share)
-        traced = run.traced_phase(share)
+    runs, ledger = zoo_runs(seed, corrupt)
+    untraced = zoo_phase(runs, seconds / 2.0, traced=False)
+    traced = zoo_phase(runs, seconds / 2.0, traced=True)
+    for run in runs:
         run.verify()
-        metrics.update(traced["metrics"])
-        metrics[f"trace.overhead.zoo_{model}"] = (
-            untraced["images_per_s"] / traced["images_per_s"], "ratio")
-        detail[model] = {"plan_step_backends": run.backend_steps(),
-                         "untraced": untraced,
-                         "traced_images_per_s": traced["images_per_s"]}
-    metrics["setup.build_s"] = (build_s, "s")
-    metrics["setup.warm_s"] = (warm_s, "s")
+    metrics: Dict[str, tuple] = {}
+    for model, result in untraced["models"].items():
+        metrics[f"images_per_s.{model}"] = (result["images_per_s"], "1/s")
+        metrics[f"latency_p50_ms.{model}"] = (result["latency_p50_ms"], "ms")
+    for result in traced["models"].values():
+        metrics.update(result.pop("metrics"))
+    metrics["trace.overhead.zoo_offline"] = (
+        untraced["images_per_s"] / traced["images_per_s"], "ratio")
+    metrics["setup.build_s"] = (_setup_sum(runs, "build_s"), "s")
+    metrics["setup.warm_s"] = (_setup_sum(runs, "warm_s"), "s")
+    detail = {"untraced": untraced["models"], "traced": traced["models"],
+              "plan_step_backends": {run.model: run.backend_steps()
+                                     for run in runs}}
     return {"ledger": ledger.to_dict(), "metrics": metrics, "detail": detail}
 
 
@@ -884,14 +923,14 @@ def measure_serve_bulk(seed: int, seconds: float, corrupt: bool,
 def run_child(workload: str, seed: int, seconds: float, mode: str,
               corrupt: bool) -> dict:
     if mode == "measure":
-        if workload.startswith("zoo_"):
-            return measure_zoo(workload[len("zoo_"):], seed, seconds, corrupt)
+        if workload == "zoo_offline":
+            return measure_zoo(seed, seconds, corrupt)
         if workload == "serve_open":
             return measure_serve_open(seed, seconds, corrupt)
         if workload == "serve_bulk":
             return measure_serve_bulk(seed, seconds, corrupt)
     elif mode == "profile":
-        if workload == "zoo":
+        if workload == "zoo_offline":
             return profile_zoo(seed, seconds, corrupt)
         if workload == "serve_open":
             return measure_serve_open(seed, seconds, corrupt, profile=True)
