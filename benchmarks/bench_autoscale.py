@@ -50,18 +50,15 @@ import sys
 import time
 
 
-def _bit_identical(outputs_by_index, baseline_rows) -> bool:
-    import numpy as np
-
-    return all(np.array_equal(row, baseline_rows[index])
-               for index, row in outputs_by_index.items())
-
-
 def spike_records(args) -> list:
     from repro.models.zoo import get_serving_config
     from repro.serving import AutoscaleConfig, ClusterService, run_spike_load
     from repro.serving.cluster import usable_cpus
-    from repro.serving.loadgen import run_closed_loop, synthetic_images
+    from repro.serving.loadgen import (
+        baseline_outputs,
+        run_closed_loop,
+        synthetic_images,
+    )
 
     shape = get_serving_config(args.model).input_shape
     images = synthetic_images(shape, 32, seed=args.seed)
@@ -77,11 +74,7 @@ def spike_records(args) -> list:
     )
     records = []
     try:
-        baseline = cluster.baseline_service()
-        try:
-            base = run_closed_loop(baseline, args.model, images)
-        finally:
-            baseline.close()
+        expected = baseline_outputs(cluster, {args.model: images})
         # One-worker capacity calibrates the spike: bursty but sub-capacity,
         # so absorption is about admission windows, not raw compute.
         calibrate = run_closed_loop(cluster, args.model, images)
@@ -89,29 +82,32 @@ def spike_records(args) -> list:
         warm_rps = max(1.0, args.warm_x * capacity_rps)
         spike_rps = max(2.0, args.spike_x * capacity_rps)
 
-        slices = args.spike_slices
+        # One ledger group per slice: each spike slice gets its own name.
         phases = [("warm", warm_rps, args.slice_s)]
-        phases += [("spike", spike_rps, args.slice_s)] * slices
-        result = run_spike_load(cluster, args.model, images, phases,
+        phases += [(f"spike{index}", spike_rps, args.slice_s)
+                   for index in range(args.spike_slices)]
+        ledger = run_spike_load(cluster, args.model, images, phases,
                                 seed=args.seed)
 
         workers_now = len(cluster.router.workers())
         time_to_absorb_s = None
         elapsed = 0.0
-        for index, phase in enumerate(result.phases[1:]):
+        for index, (name, offered_rps, duration_s) in enumerate(phases[1:]):
+            phase = ledger.group(name)
             if phase.shed == 0 and time_to_absorb_s is None and index > 0:
                 time_to_absorb_s = elapsed
-            elapsed += phase.duration_s
+            elapsed += duration_s
             records.append({
                 "op": "autoscale_spike", "model": args.model,
-                "shape": list(shape), "phase": phase.name, "slice": index,
-                "offered_rps": round(phase.offered_rps, 2),
+                "shape": list(shape), "phase": "spike", "slice": index,
+                "offered_rps": round(offered_rps, 2),
                 "offered": phase.offered, "shed": phase.shed,
                 "shed_rate": round(phase.shed_rate, 4),
                 "workers": workers_now,
-                "req_per_s": round(phase.admitted / phase.duration_s, 2),
+                "req_per_s": round((phase.offered - phase.shed)
+                                   / duration_s, 2),
             })
-        steady_shed_rate = result.phases[-1].shed_rate
+        steady_shed_rate = ledger.group(phases[-1][0]).shed_rate
         grow_events = sum(1 for e in cluster.autoscale_events
                           if e.action == "grow")
         peak_workers = max((e.workers_target for e in cluster.autoscale_events
@@ -131,7 +127,7 @@ def spike_records(args) -> list:
         records.append({
             "op": "autoscale_absorb", "model": args.model,
             "shape": list(shape),
-            "req_per_s": round(result.completed / result.wall_s, 2),
+            "req_per_s": round(ledger.goodput_rps, 2),
             "capacity_rps": round(capacity_rps, 2),
             "time_to_absorb_s": (None if time_to_absorb_s is None
                                  else round(time_to_absorb_s, 3)),
@@ -141,7 +137,7 @@ def spike_records(args) -> list:
             "time_to_shrink_s": (None if time_to_shrink_s is None
                                  else round(time_to_shrink_s, 3)),
             "host_cpus": usable_cpus(),
-            "bit_identical": _bit_identical(result.outputs, base.outputs),
+            "bit_identical": ledger.bit_identical(expected),
         })
     finally:
         cluster.close()

@@ -77,13 +77,13 @@ def run_scenario(args, name: str, spec) -> dict:
         "shape": list(shape),
         "scenario": name,
         "seed": args.seed,
-        "req_per_s": round(result.goodput_rps, 2),
+        "req_per_s": round(result.ledger.goodput_rps, 2),
         "p99_ms": round(result.p99_ms, 2),
-        "offered": result.offered,
-        "completed": result.completed,
-        "shed": result.shed,
-        "deadline_expired": result.deadline_expired,
-        "failed": result.failed,
+        "offered": result.ledger.offered,
+        "completed": result.ledger.completed,
+        "shed": result.ledger.shed,
+        "deadline_expired": result.ledger.deadline_expired,
+        "failed": result.ledger.failed,
         "retries": result.retries,
         "hedges": result.hedges,
         "quarantined": result.quarantined,

@@ -82,11 +82,11 @@ def run_drill(args, scenario: str) -> dict:
         "scenario": scenario,
         "seed": args.seed,
         "workers": args.workers,
-        "req_per_s": round(result.goodput_rps, 2),
-        "offered": result.offered,
-        "completed": result.completed,
-        "shed": result.shed,
-        "failed": result.failed,
+        "req_per_s": round(result.ledger.goodput_rps, 2),
+        "offered": result.ledger.offered,
+        "completed": result.ledger.completed,
+        "shed": result.ledger.shed,
+        "failed": result.ledger.failed,
         "phase": result.phase,
         "rollback_reason": result.rollback_reason,
         "canary_samples": result.canary.get("samples", 0),

@@ -84,7 +84,7 @@ def calibrate_capacity(args) -> float:
                           duration_s=min(1.0, args.duration_s),
                           max_batch_size=args.batch,
                           max_outstanding=4 * args.batch)
-    return max(1.0, result.goodput_rps)
+    return max(1.0, result.ledger.goodput_rps)
 
 
 def overload_spec(capacity_rps: float, overload_x: float):
@@ -148,7 +148,7 @@ def bench_scenario(args, label: str, spec, rate_scale: float) -> dict:
     run_by_class = {c.slo: c.offered for c in result.classes}
     replay_identical = (schedule.digest() == result.digest
                         and offered_by_class == run_by_class)
-    goodput = result.goodput_rps
+    goodput = result.ledger.goodput_rps
     peak_rps = peak_offered_rps(spec, rate_scale)
     models = spec.model_names()
     return {
@@ -163,11 +163,11 @@ def bench_scenario(args, label: str, spec, rate_scale: float) -> dict:
         "req_per_s": round(goodput, 2),
         "peak_offered_rps": round(peak_rps, 1),
         "overload_factor": round(peak_rps / goodput, 2) if goodput else None,
-        "offered": result.offered,
-        "completed": result.completed,
-        "shed": result.shed,
-        "deadline_expired": result.deadline_expired,
-        "failed": result.failed,
+        "offered": result.ledger.offered,
+        "completed": result.ledger.completed,
+        "shed": result.ledger.shed,
+        "deadline_expired": result.ledger.deadline_expired,
+        "failed": result.ledger.failed,
         "retries": result.retries,
         "hedges": result.hedges,
         "respawns": result.respawns,

@@ -166,7 +166,7 @@ def parse_scenario_argument(text: str):
 #: Kernel-backend specs accepted by ``--backend`` — kept in lockstep with
 #: :data:`repro.core.backends.BACKEND_CHOICES` (asserted by the CLI tests)
 #: without importing the backend registry at parser-build time.
-BACKEND_CHOICES = ("auto", "numpy", "cffi", "numba")
+BACKEND_CHOICES = ("auto", "numpy", "cffi")
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
@@ -625,20 +625,14 @@ def _command_loadgen(args) -> str:
             from repro.analysis.reporting import format_kv
             from repro.serving import run_open_loop_shedding
 
-            shed_result = run_open_loop_shedding(
+            ledger = run_open_loop_shedding(
                 service, args.model, images, offered_rps=args.rps,
                 seed=args.seed, slo=args.slo,
             )
             return format_kv(
-                [
-                    ("slo class", args.slo),
-                    ("offered", shed_result.offered),
-                    ("completed", shed_result.completed),
-                    ("shed", shed_result.shed),
-                    ("shed %", 100.0 * shed_result.shed_rate),
-                    ("achieved (req/s)", shed_result.achieved_rps),
-                    ("retry-after mean (ms)",
-                     shed_result.retry_after_ms_mean),
+                [("slo class", args.slo)] + ledger.summary_rows() + [
+                    ("shed %", 100.0 * ledger.shed_rate),
+                    ("retry-after mean (ms)", ledger.retry_after_ms_mean),
                 ],
                 title=f"Open loop ({args.model}, non-blocking admission)",
             )

@@ -14,8 +14,6 @@ This package provides that layer:
   (:mod:`repro.core.backends.cffi_backend`).  OpenMP-free: parallelism
   stays in the plan's shared thread pool, and cffi releases the GIL for
   the duration of each call.
-* ``numba`` — the same three kernels as ``@njit(nogil=True)`` functions
-  when Numba is installed (:mod:`repro.core.backends.numba_backend`).
 
 **Selection is gated by the bit-exactness spine.**  A backend is attached
 per plan step at warm time (``Network.warm`` / ``ModelPool`` /
@@ -43,10 +41,10 @@ from repro.core import binary_conv, bitpack
 #: Backend spec names accepted everywhere a backend can be chosen
 #: (engine, CLI ``--backend``, worker config).  ``auto`` resolves to the
 #: fastest available compiled backend, falling back to ``numpy``.
-BACKEND_CHOICES = ("auto", "numpy", "cffi", "numba")
+BACKEND_CHOICES = ("auto", "numpy", "cffi")
 
 #: Preference order ``auto`` resolves through.
-_AUTO_ORDER = ("cffi", "numba")
+_AUTO_ORDER = ("cffi",)
 
 
 class BackendUnavailable(RuntimeError):
@@ -70,10 +68,6 @@ def _load_backend(name: str):
         from repro.core.backends import cffi_backend
 
         return cffi_backend.load()
-    if name == "numba":
-        from repro.core.backends import numba_backend
-
-        return numba_backend.load()
     raise BackendUnavailable(f"unknown compiled backend {name!r}")
 
 
@@ -115,7 +109,7 @@ def get_backend(name: str):
 def availability() -> Dict[str, Optional[str]]:
     """Mapping of backend name to ``None`` (usable) or a reason string."""
     report: Dict[str, Optional[str]] = {"numpy": None}
-    for name in ("cffi", "numba"):
+    for name in _AUTO_ORDER:
         try:
             get_backend(name)
             report[name] = None

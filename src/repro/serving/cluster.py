@@ -24,8 +24,12 @@ capped by the GIL once the fused kernels saturate one interpreter.
 ``ClusterService`` duck-types the service surface the load generators use
 (``submit`` / ``submit_batch`` / ``infer`` / ``report`` / ``close``), so
 :func:`repro.serving.loadgen.run_closed_loop` and ``run_open_loop`` drive a
-cluster unmodified.  Outputs are bit-identical to a single-process service
-serving the same published artifact regardless of transport
+cluster unmodified.  Every non-blocking open-loop load shape (shedding,
+spikes, chaos, rollout drills, scenarios) runs through the one driver
+:func:`repro.serving.loadgen.drive_open_loop`, which accounts for each
+offered request in a :class:`repro.serving.loadgen.RequestLedger`.
+Outputs are bit-identical to a single-process service serving the same
+published artifact regardless of transport
 (``tests/test_cluster.py``, ``tests/test_transport.py`` and
 ``benchmarks/bench_cluster_scaling.py`` gate this).
 
@@ -716,7 +720,7 @@ class ClusterService:
         provides the process-level parallelism).
     worker_backend:
         Kernel-backend spec workers warm their plans with (``auto`` /
-        ``numpy`` / ``cffi`` / ``numba``; default ``auto`` — compiled
+        ``numpy`` / ``cffi``; default ``auto`` — compiled
         kernels where each worker's host allows, NumPy fallback
         otherwise).
     max_outstanding:
@@ -2921,7 +2925,7 @@ def scaling_sweep(
     """Closed-loop cluster throughput vs the single-process service.
 
     ``worker_backend`` selects the kernel backend both the baseline and
-    every worker warm with (``auto``/``numpy``/``cffi``/``numba``), so
+    every worker warm with (``auto``/``numpy``/``cffi``), so
     the comparison stays apples-to-apples; the spec is recorded per sweep
     point.
 
@@ -3070,8 +3074,9 @@ def open_loop_sweep(
     then non-blocking Poisson arrivals are offered at each
     ``overload_x`` multiple of that capacity
     (:func:`repro.serving.loadgen.run_open_loop_shedding`).  Each record
-    captures the admitted/shed split, the shed rate, the mean suggested
-    retry-after and the completed requests' latency percentiles.
+    reads the admitted/shed split, the shed rate and the mean suggested
+    retry-after from the run's ledger, and the completed requests'
+    latency percentiles from the cluster report.
 
     Every completed response is verified bit-identical to the engine's
     direct ``run_batch`` rows over the same published artifact — overload
@@ -3134,19 +3139,19 @@ def open_loop_sweep(
             offered_rps = max(1.0, capacity_rps * float(multiple))
             cluster = make_cluster()
             try:
-                run = run_open_loop_shedding(cluster, key, images,
-                                             offered_rps=offered_rps,
-                                             seed=seed)
+                ledger = run_open_loop_shedding(cluster, key, images,
+                                                offered_rps=offered_rps,
+                                                seed=seed)
                 cluster_detail = cluster.cluster_report()
             finally:
                 cluster.close()
-            for index, row in run.outputs.items():
-                if not np.array_equal(row, baseline_rows[index]):
-                    raise AssertionError(
-                        f"open-loop output {index} diverged from run_batch "
-                        f"at {multiple}x capacity over {transport}"
-                    )
-            latency = run.report.latency if run.report is not None else None
+            if not ledger.bit_identical({key: baseline_rows}):
+                raise AssertionError(
+                    f"open-loop outputs diverged from run_batch at "
+                    f"{multiple}x capacity over {transport}"
+                )
+            served = cluster_detail.aggregated.get(key)
+            latency = served.latency if served is not None else None
             records.append({
                 "op": "cluster_open_loop",
                 "model": key,
@@ -3161,12 +3166,12 @@ def open_loop_sweep(
                 "capacity_rps": capacity_rps,
                 "admission_budget": budget,
                 "per_worker_window": window,
-                "req_per_s": run.achieved_rps,
-                "requests_per_s": run.achieved_rps,
-                "completed": run.completed,
-                "shed": run.shed,
-                "shed_rate": run.shed_rate,
-                "retry_after_ms_mean": run.retry_after_ms_mean,
+                "req_per_s": ledger.goodput_rps,
+                "requests_per_s": ledger.goodput_rps,
+                "completed": ledger.completed,
+                "shed": ledger.shed,
+                "shed_rate": ledger.shed_rate,
+                "retry_after_ms_mean": ledger.retry_after_ms_mean,
                 "latency_p50_ms": latency.p50_ms if latency else 0.0,
                 "latency_p99_ms": latency.p99_ms if latency else 0.0,
                 "host_cpus": usable_cpus(),

@@ -9,6 +9,14 @@ Two traffic shapes:
   arrival process at a target rate regardless of completions; measures
   latency under a fixed offered load, the way real traffic behaves.
 
+Against a cluster, every open-loop load shape — flat shedding, phased
+spikes, chaos, live rollout and multi-tenant scenarios
+(:mod:`repro.serving.scenarios`) — is one call to
+:func:`drive_open_loop` with its own arrival schedule.  It submits with
+non-blocking admission and writes the outcome of every offered request
+into one :class:`RequestLedger`.  The ledger then compares completed rows
+with the single-process baseline.
+
 :func:`throughput_sweep` drives the closed loop across several offered
 batch levels and compares each against the per-request ``engine.run``
 baseline — the exact path a client would hit without the serving layer.
@@ -22,11 +30,11 @@ from __future__ import annotations
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.reporting import format_kv
+from repro.analysis.reporting import format_kv, format_table
 from repro.core.engine import PhoneBitEngine
 from repro.serving.pool import ModelPool
 from repro.serving.service import InferenceService, ServiceReport
@@ -34,12 +42,14 @@ from repro.serving.service import InferenceService, ServiceReport
 __all__ = [
     "ChaosResult",
     "LoadgenResult",
+    "RequestLedger",
     "RolloutDrillResult",
-    "ShedLoadResult",
-    "SpikeLoadResult",
-    "SpikePhase",
+    "await_rollout",
+    "baseline_outputs",
+    "drive_open_loop",
     "phased_poisson_offsets",
     "poisson_offsets",
+    "rollout_trigger",
     "run_arrival_schedule",
     "run_chaos_scenario",
     "run_closed_loop",
@@ -131,8 +141,6 @@ def sweep_table(records: Sequence[dict], title: Optional[str] = None) -> str:
     ``benchmarks/bench_serving_throughput.py`` so the two cannot drift when
     the record schema changes.
     """
-    from repro.analysis.reporting import format_table
-
     return format_table(
         ["offered batch", "req/s", "seq req/s", "fwd req/s", "speedup",
          "p50 (ms)", "p99 (ms)", "mean batch"],
@@ -247,36 +255,247 @@ def run_open_loop(
     )
 
 
-@dataclass(frozen=True)
-class ShedLoadResult:
-    """Outcome of one non-blocking open-loop run against a cluster.
+# ---------------------------------------------------------------------------
+# the open-loop driver every cluster load shape rides on, and its ledger
+# ---------------------------------------------------------------------------
 
-    ``outputs`` holds the completed rows keyed by offered-request index, so
-    correctness checks can compare exactly the subset that was admitted.
+#: Drain budget, in seconds from the first arrival: a future still
+#: unresolved past it is a *hung future* and the run raises.
+DRAIN_TIMEOUT_S = 60.0
+
+#: After the drain, how long a driver waits for a live rollout to reach a
+#: terminal phase (the monitor thread keeps ticking it meanwhile).
+ROLLOUT_TERMINAL_WAIT_S = 15.0
+
+
+class RequestLedger:
+    """Where every offered request of an open-loop run ended up.
+
+    One entry per offered request, in arrival order: a ``(group, outcome,
+    key, row, latency_s, retry_after_s)`` tuple.  ``group`` is a phase or
+    tenant name, or ``None`` for an ungrouped run; ``outcome`` is exactly
+    one of ``completed``, ``shed``, ``deadline_expired`` or ``failed``.
+    A completed request keeps the image it used — ``key`` is ``(model,
+    image_index)`` — with its output row and its submit→done latency; a
+    shed keeps the router's suggested retry-after.
+    One outcome per entry makes ``offered == completed + shed +
+    deadline_expired + failed`` hold by construction, for the whole
+    ledger and for every :meth:`group`.
     """
 
-    report: Optional[ServiceReport]
-    wall_s: float
-    offered_rps: float
-    completed: int
-    shed: int
-    retry_after_ms_mean: float
-    outputs: dict
+    def __init__(self, entries: Sequence[tuple] = (),
+                 wall_s: float = 0.0) -> None:
+        self.entries = list(entries)
+        self.wall_s = wall_s
+
+    @property
+    def groups(self) -> tuple:
+        """Group names, in order of first arrival."""
+        return tuple(dict.fromkeys(entry[0] for entry in self.entries))
+
+    def group(self, name) -> "RequestLedger":
+        """One group's ledger over the same wall time (empty when the
+        group had no arrivals)."""
+        return RequestLedger([e for e in self.entries if e[0] == name],
+                             self.wall_s)
+
+    def _count(self, outcome: str) -> int:
+        return sum(1 for entry in self.entries if entry[1] == outcome)
 
     @property
     def offered(self) -> int:
-        return self.completed + self.shed
+        return len(self.entries)
 
     @property
-    def achieved_rps(self) -> float:
-        if self.wall_s <= 0:
-            return float("inf") if self.completed else 0.0
-        return self.completed / self.wall_s
+    def completed(self) -> int:
+        return self._count("completed")
+
+    @property
+    def shed(self) -> int:
+        return self._count("shed")
+
+    @property
+    def deadline_expired(self) -> int:
+        return self._count("deadline_expired")
+
+    @property
+    def failed(self) -> int:
+        return self._count("failed")
 
     @property
     def shed_rate(self) -> float:
         return self.shed / self.offered if self.offered else 0.0
 
+    @property
+    def goodput_rps(self) -> float:
+        if self.wall_s <= 0:
+            return float("inf") if self.completed else 0.0
+        return self.completed / self.wall_s
+
+    @property
+    def retry_after_ms_mean(self) -> float:
+        waits = [e[5] for e in self.entries if e[1] == "shed"]
+        return 1000.0 * sum(waits) / len(waits) if waits else 0.0
+
+    @property
+    def latencies_s(self) -> List[float]:
+        """Submit→done latency of every completed request."""
+        return [e[4] for e in self.entries if e[1] == "completed"]
+
+    def bit_identical(self, expected: Mapping[str, np.ndarray]) -> bool:
+        """True when every completed row equals ``expected[model][index]``
+        — ``expected`` maps each model to its baseline rows
+        (:func:`baseline_outputs`)."""
+        return all(np.array_equal(row, expected[key[0]][key[1]])
+                   for _, outcome, key, row, _, _ in self.entries
+                   if outcome == "completed")
+
+    def summary_rows(self) -> List[tuple]:
+        """Accounting rows for :func:`~repro.analysis.reporting.format_kv`."""
+        return [
+            ("offered", self.offered),
+            ("completed", self.completed),
+            ("shed", self.shed),
+            ("deadline expired", self.deadline_expired),
+            ("failed", self.failed),
+            ("goodput (req/s)", self.goodput_rps),
+        ]
+
+    def table(self, title: str = "Open loop") -> str:
+        """Per-group accounting table."""
+        rows = []
+        for name in self.groups:
+            group = self.group(name)
+            rows.append([name, group.offered, group.completed, group.shed,
+                         group.deadline_expired, group.failed,
+                         f"{100.0 * group.shed_rate:.1f}"])
+        return format_table(
+            ["group", "offered", "done", "shed", "expired", "fail", "shed %"],
+            rows, title=title)
+
+
+def drive_open_loop(cluster, offsets: Sequence[float], arrival, *,
+                    deadline_s: Optional[float] = None,
+                    on_arrival=None) -> RequestLedger:
+    """Drive one open-loop run through a cluster and account for it.
+
+    Paces ``offsets`` with :func:`run_arrival_schedule`; at arrival ``i``
+    calls ``on_arrival(i)`` (a mid-run publish, say), then
+    ``arrival(i)``, which returns ``(group, model, image_index, image,
+    slo)``, and submits that image with non-blocking admission and the
+    end-to-end ``deadline_s``.  An overload shed, an expired deadline and
+    a fleet that cannot serve (:class:`~repro.serving.cluster
+    .WorkerCrashError`) are counted the same whether they surface at
+    submission or on the drained future.  A future still unresolved
+    :data:`DRAIN_TIMEOUT_S` after the first arrival raises
+    :class:`RuntimeError` — silent loss never reports as success.
+    """
+    from repro.serving.cluster import (
+        ClusterOverloadError,
+        DeadlineExceededError,
+        WorkerCrashError,
+    )
+
+    accounted = (ClusterOverloadError, DeadlineExceededError,
+                 WorkerCrashError)
+
+    def outcome_of(exc: Exception) -> str:
+        if isinstance(exc, ClusterOverloadError):
+            return "shed"
+        if isinstance(exc, DeadlineExceededError):
+            return "deadline_expired"
+        return "failed"
+
+    entries: list = [None] * len(offsets)
+    pending: list = []
+    done_at: dict = {}
+
+    def arrive(index: int) -> None:
+        if on_arrival is not None:
+            on_arrival(index)
+        group, model, image_index, image, slo = arrival(index)
+        submitted = time.perf_counter()
+        try:
+            future = cluster.submit(model, image, block=False,
+                                    timeout=deadline_s, slo=slo)
+        except accounted as exc:
+            entries[index] = (group, outcome_of(exc), None, None, 0.0,
+                              getattr(exc, "retry_after_s", 0.0))
+            return
+        future.add_done_callback(lambda _f, key=index: done_at.__setitem__(
+            key, time.perf_counter()))
+        pending.append((index, group, (model, image_index), submitted, future))
+
+    t0 = run_arrival_schedule(offsets, arrive)
+    for index, group, key, submitted, future in pending:
+        budget_s = DRAIN_TIMEOUT_S - (time.perf_counter() - t0)
+        try:
+            row = future.result(timeout=max(1.0, budget_s))
+        except accounted as exc:
+            entries[index] = (group, outcome_of(exc), None, None, 0.0, 0.0)
+            continue
+        except FuturesTimeoutError:
+            raise RuntimeError(
+                f"hung future: arrival {index} unresolved "
+                f"{DRAIN_TIMEOUT_S:.0f}s into the run — the cluster lost "
+                "track of admitted work"
+            )
+        latency_s = done_at.get(index, time.perf_counter()) - submitted
+        entries[index] = (group, "completed", key, row, latency_s, 0.0)
+    return RequestLedger(entries, time.perf_counter() - t0)
+
+
+def baseline_outputs(cluster, images: Mapping[str, np.ndarray]
+                     ) -> Dict[str, np.ndarray]:
+    """Fault-free single-process rows for ``{model: images}``, served from
+    the artifacts the cluster publishes — what
+    :meth:`RequestLedger.bit_identical` compares against."""
+    baseline = cluster.baseline_service()
+    try:
+        return {model: run_closed_loop(baseline, model, batch).outputs
+                for model, batch in images.items()}
+    finally:
+        baseline.close()
+
+
+def rollout_trigger(cluster, model: str, network, rollout, at: float,
+                    count: int, operator_rollback: bool = False):
+    """``on_arrival`` hook publishing ``network`` once the arrival cursor
+    crosses the fraction ``at`` of ``count`` arrivals; with
+    ``operator_rollback`` it also aborts the rollout by hand midway
+    through the remaining arrivals."""
+    publish_index = min(count - 1, int(at * count))
+    rollback_index = min(count - 1,
+                         publish_index + max(1, (count - publish_index) // 2))
+
+    def on_arrival(index: int) -> None:
+        if index == publish_index:
+            cluster.publish(network, model=model, rollout=rollout)
+        if operator_rollback and index == rollback_index:
+            try:
+                cluster.rollback(model, reason="drill operator rollback")
+            except (KeyError, RuntimeError):
+                pass  # already terminal — nothing to abort
+
+    return on_arrival
+
+
+def await_rollout(cluster, model: str) -> Optional[dict]:
+    """Status of ``model``'s newest rollout once it is terminal, or after
+    :data:`ROLLOUT_TERMINAL_WAIT_S`; ``None`` if it never rolled out."""
+    deadline = time.perf_counter() + ROLLOUT_TERMINAL_WAIT_S
+    while True:
+        statuses = cluster.rollout_status(model)
+        status = statuses[0] if statuses else None
+        if (status is None or status["phase"] in ("committed", "rolled_back")
+                or time.perf_counter() >= deadline):
+            return status
+        time.sleep(0.05)
+
+
+# ---------------------------------------------------------------------------
+# the drivers: each supplies an arrival schedule and its own extras
+# ---------------------------------------------------------------------------
 
 def run_open_loop_shedding(
     cluster,
@@ -285,113 +504,22 @@ def run_open_loop_shedding(
     offered_rps: float,
     seed: int = 0,
     slo: Optional[str] = None,
-) -> ShedLoadResult:
+) -> RequestLedger:
     """Open-loop Poisson arrivals with *non-blocking* admission.
 
     :func:`run_open_loop` backpressures the arrival process when the
     service saturates, which hides overload behaviour.  This variant is
     how real open-loop traffic meets an admission-controlled front end:
-    every arrival calls ``submit(..., block=False)``, an overload shed
-    (:class:`~repro.serving.cluster.ClusterOverloadError`) is *counted* —
-    along with the router's suggested retry-after — and the arrival clock
-    never stalls.  Cluster-only: the single-process service has no
-    non-blocking admission surface.  ``slo`` tags every arrival with one
-    SLO class for the router's tiered admission.
+    an overload shed is *counted* — along with the router's suggested
+    retry-after — and the arrival clock never stalls.  Cluster-only: the
+    single-process service has no non-blocking admission surface.
+    ``slo`` tags every arrival with one SLO class for the router's tiered
+    admission.  Arrival ``i`` uses ``images[i]``; the ledger is ungrouped.
     """
-    from repro.serving.cluster import ClusterOverloadError
-
-    rng = np.random.default_rng(seed)
-    offsets = poisson_offsets(rng, offered_rps, len(images))
-    submit_kwargs = {} if slo is None else {"slo": slo}
-    futures = {}
-    shed = 0
-    retry_after_sum = 0.0
-
-    def arrive(index: int) -> None:
-        nonlocal shed, retry_after_sum
-        try:
-            futures[index] = cluster.submit(model, images[index],
-                                            block=False, **submit_kwargs)
-        except ClusterOverloadError as exc:
-            shed += 1
-            retry_after_sum += exc.retry_after_s
-
-    t0 = run_arrival_schedule(offsets, arrive)
-    outputs = {index: future.result() for index, future in futures.items()}
-    wall_s = time.perf_counter() - t0
-    try:
-        report = cluster.report(model)
-    except KeyError:  # pragma: no cover - everything shed
-        report = None
-    return ShedLoadResult(
-        report=report,
-        wall_s=wall_s,
-        offered_rps=offered_rps,
-        completed=len(outputs),
-        shed=shed,
-        retry_after_ms_mean=(retry_after_sum / shed * 1000.0) if shed else 0.0,
-        outputs=outputs,
-    )
-
-
-@dataclass(frozen=True)
-class SpikePhase:
-    """Arrival/shed accounting for one phase of a spike run."""
-
-    name: str
-    offered_rps: float
-    duration_s: float
-    offered: int
-    shed: int
-
-    @property
-    def admitted(self) -> int:
-        return self.offered - self.shed
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.offered if self.offered else 0.0
-
-
-@dataclass(frozen=True)
-class SpikeLoadResult:
-    """Outcome of one phased (spike-shaped) open-loop run."""
-
-    phases: tuple
-    wall_s: float
-    completed: int
-    #: Completed rows keyed by the *image index* each arrival used, for
-    #: bit-exactness checks against a baseline over the same images.
-    outputs: dict
-
-    @property
-    def offered(self) -> int:
-        return sum(p.offered for p in self.phases)
-
-    @property
-    def shed(self) -> int:
-        return sum(p.shed for p in self.phases)
-
-    def phase(self, name: str) -> SpikePhase:
-        """Last phase with ``name`` (spike runs repeat phase names)."""
-        for p in reversed(self.phases):
-            if p.name == name:
-                return p
-        raise KeyError(f"no phase named {name!r}")
-
-    def table(self) -> str:
-        from repro.analysis.reporting import format_table
-
-        return format_table(
-            ["phase", "offered rps", "duration (s)", "offered", "admitted",
-             "shed", "shed %"],
-            [
-                [p.name, p.offered_rps, p.duration_s, p.offered, p.admitted,
-                 p.shed, f"{100.0 * p.shed_rate:.1f}"]
-                for p in self.phases
-            ],
-            title="Spike load",
-        )
+    offsets = poisson_offsets(np.random.default_rng(seed), offered_rps,
+                              len(images))
+    return drive_open_loop(
+        cluster, offsets, lambda i: (None, model, i, images[i], slo))
 
 
 def run_spike_load(
@@ -400,112 +528,53 @@ def run_spike_load(
     images: np.ndarray,
     phases: Sequence[tuple],
     seed: int = 0,
-) -> SpikeLoadResult:
+) -> RequestLedger:
     """Phased non-blocking open loop: baseline → spike → baseline.
 
     ``phases`` is a sequence of ``(name, offered_rps, duration_s)``;
-    arrivals are Poisson within each phase and admission is non-blocking
-    (sheds are counted per phase, the arrival clock never stalls) —
-    exactly :func:`run_open_loop_shedding` with a piecewise-constant
-    offered rate.  This is the traffic shape the autoscaler is judged on:
-    a spike phase that sheds should trigger growth, and the recovery
-    phase's shed rate shows whether the grown fleet absorbed the load.
-
-    ``images`` are cycled over arrivals; completed outputs are keyed by
-    image index so bit-exactness checks compare exactly the admitted
-    subset (arrivals sharing an image produce identical rows).
+    arrivals are Poisson within each phase — exactly
+    :func:`run_open_loop_shedding` with a piecewise-constant offered
+    rate.  This is the traffic shape the autoscaler is judged on: a spike
+    phase that sheds should trigger growth, and the recovery phase's shed
+    rate shows whether the grown fleet absorbed the load.  The ledger is
+    grouped by phase name (phases sharing a name share a group), and
+    ``images`` are cycled over arrivals.
     """
-    from repro.serving.cluster import ClusterOverloadError
+    offsets, phase_index = phased_poisson_offsets(np.random.default_rng(seed),
+                                                  phases)
+    names = [name for name, _, _ in phases]
 
-    rng = np.random.default_rng(seed)
-    offsets, phase_index = phased_poisson_offsets(rng, phases)
-    futures: dict = {}
-    offered_counts = [0] * len(phases)
-    shed_counts = [0] * len(phases)
+    def arrival(i: int) -> tuple:
+        index = i % len(images)
+        return names[phase_index[i]], model, index, images[index], None
 
-    def arrive(arrival: int) -> None:
-        number = int(phase_index[arrival])
-        index = arrival % len(images)
-        offered_counts[number] += 1
-        try:
-            futures[arrival] = (index,
-                                cluster.submit(model, images[index],
-                                               block=False))
-        except ClusterOverloadError:
-            shed_counts[number] += 1
-
-    t0 = run_arrival_schedule(offsets, arrive)
-    phase_stats = [
-        SpikePhase(
-            name=name, offered_rps=float(offered_rps),
-            duration_s=float(duration_s), offered=offered_counts[number],
-            shed=shed_counts[number],
-        )
-        for number, (name, offered_rps, duration_s) in enumerate(phases)
-    ]
-    outputs = {}
-    for index, future in futures.values():
-        outputs[index] = future.result()
-    wall_s = time.perf_counter() - t0
-    return SpikeLoadResult(
-        phases=tuple(phase_stats),
-        wall_s=wall_s,
-        completed=len(futures),
-        outputs=outputs,
-    )
+    return drive_open_loop(cluster, offsets, arrival)
 
 
 @dataclass(frozen=True)
 class ChaosResult:
     """Outcome of one fault-injected load run (:func:`run_chaos_scenario`).
 
-    Every offered request is accounted for exactly once: it either
-    ``completed`` (with an output row bit-identical to the fault-free
-    baseline), was ``shed`` at admission, expired its ``deadline``, or
-    ``failed`` terminally (fleet died).  A future that resolves to none of
-    those within the drain timeout is a *hung future* and the scenario
-    raises instead of returning — silent loss is the one outcome a chaos
-    run must never report as success.
+    The ledger accounts for every offered request; ``bit_identical``
+    compares every completed row with the fault-free baseline.
     """
 
-    wall_s: float
-    completed: int
-    shed: int
-    deadline_expired: int
-    failed: int
+    ledger: RequestLedger
+    bit_identical: bool
     retries: int
     hedges: int
     quarantined: int
     respawns: int
     requeued: int
-    bit_identical: bool
     p99_ms: float
     #: Faults the plan actually fired, in firing order
     #: (:class:`~repro.serving.faults.FaultEvent` tuples).
     fault_events: tuple
     #: The plan's deterministic schedule, for same-seed replay checks.
     schedule: tuple
-    #: Completed rows keyed by offered-request index.
-    outputs: dict
-
-    @property
-    def offered(self) -> int:
-        return self.completed + self.shed + self.deadline_expired + self.failed
-
-    @property
-    def goodput_rps(self) -> float:
-        if self.wall_s <= 0:
-            return float("inf") if self.completed else 0.0
-        return self.completed / self.wall_s
 
     def table(self) -> str:
-        rows = [
-            ("offered", self.offered),
-            ("completed", self.completed),
-            ("shed", self.shed),
-            ("deadline expired", self.deadline_expired),
-            ("failed", self.failed),
-            ("goodput (req/s)", self.goodput_rps),
+        rows = self.ledger.summary_rows() + [
             ("latency p99 (ms)", self.p99_ms),
             ("retries", self.retries),
             ("hedges", self.hedges),
@@ -514,7 +583,7 @@ class ChaosResult:
             ("requeued", self.requeued),
             ("faults fired", len(self.fault_events)),
             ("bit identical", self.bit_identical),
-            ("wall time (s)", self.wall_s),
+            ("wall time (s)", self.ledger.wall_s),
         ]
         lines = [format_kv(rows, title="Chaos scenario")]
         if self.fault_events:
@@ -536,46 +605,31 @@ def run_chaos_scenario(
     seed: int = 0,
     retry=None,
     quarantine=None,
-    drain_timeout_s: float = 60.0,
     **cluster_kwargs,
 ) -> ChaosResult:
     """Drive sustained open-loop load through a fault-injected cluster.
 
     Builds a :class:`~repro.serving.cluster.ClusterService` with ``plan``
     armed (plus retry/hedging and quarantine policies — defaults are used
-    when not given), submits ``requests`` Poisson arrivals at
-    ``offered_rps`` with non-blocking admission and an optional end-to-end
-    ``deadline_s``, then drains every future and audits the outcome:
-
-    * **no hung futures** — a future still unresolved ``drain_timeout_s``
-      after the last arrival raises :class:`RuntimeError`;
-    * **no lost or duplicated work** — completed + shed + expired + failed
-      must equal offered (checked by construction: every arrival lands in
-      exactly one bucket);
-    * **bit-identical outputs** — every completed row is compared against
-      a fault-free single-process baseline over the same images.
+    when not given), offers ``requests`` Poisson arrivals at
+    ``offered_rps`` through :func:`drive_open_loop` with an optional
+    end-to-end ``deadline_s``, and compares every completed row with a
+    fault-free single-process baseline over the same images.
 
     The same ``plan`` seed reproduces the same fault schedule, so a chaos
     failure is a unit test away from being replayed.  ``plan=None`` runs
     the identical scenario fault-free — the control every chaos benchmark
     compares goodput and tail latency against.
     """
-    from repro.serving.cluster import (
-        ClusterService,
-        ClusterOverloadError,
-        DeadlineExceededError,
-        RetryPolicy,
-        WorkerCrashError,
-    )
+    from repro.serving.cluster import ClusterService, RetryPolicy
     from repro.serving.router import QuarantinePolicy
 
     if requests <= 0:
         raise ValueError("requests must be positive")
-    if offered_rps <= 0:
-        raise ValueError("offered_rps must be positive")
-    pool = ModelPool()
-    network = pool.get(model)
-    images = synthetic_images(network.input_shape, requests, seed=seed)
+    offsets = poisson_offsets(np.random.default_rng(seed), offered_rps,
+                              requests)
+    images = synthetic_images(ModelPool().get(model).input_shape, requests,
+                              seed=seed)
     schedule = () if plan is None else tuple(plan.schedule())
 
     cluster_kwargs.setdefault("models", (model,))
@@ -586,70 +640,27 @@ def run_chaos_scenario(
         faults=plan,
         **cluster_kwargs,
     )
-    rng = np.random.default_rng(seed)
-    offsets = poisson_offsets(rng, offered_rps, requests)
-    futures: dict = {}
-    shed = 0
-    deadline_expired = 0
-    failed = 0
-    outputs: dict = {}
     try:
-        def arrive(index: int) -> None:
-            nonlocal shed, deadline_expired
-            try:
-                futures[index] = cluster.submit(
-                    model, images[index], block=False, timeout=deadline_s)
-            except ClusterOverloadError:
-                shed += 1
-            except DeadlineExceededError:
-                deadline_expired += 1
-
-        t0 = run_arrival_schedule(offsets, arrive)
-        for index, future in futures.items():
-            budget = drain_timeout_s - (time.perf_counter() - t0)
-            try:
-                outputs[index] = future.result(timeout=max(1.0, budget))
-            except DeadlineExceededError:
-                deadline_expired += 1
-            except WorkerCrashError:
-                failed += 1
-            except FuturesTimeoutError:
-                raise RuntimeError(
-                    f"hung future: request {index} unresolved "
-                    f"{drain_timeout_s:.0f}s after submission — the cluster "
-                    f"lost track of admitted work under fault injection"
-                )
-        wall_s = time.perf_counter() - t0
+        ledger = drive_open_loop(
+            cluster, offsets, lambda i: (None, model, i, images[i], None),
+            deadline_s=deadline_s)
         fault_events = tuple(cluster.fault_events)
         detail = cluster.cluster_report()
-        p99_ms = (detail.aggregated[model].latency.p99_ms
-                  if model in detail.aggregated else 0.0)
-        baseline = cluster.baseline_service()
-        try:
-            expected = run_closed_loop(baseline, model, images).outputs
-        finally:
-            baseline.close()
+        expected = baseline_outputs(cluster, {model: images})
     finally:
         cluster.close()
-    bit_identical = all(
-        np.array_equal(row, expected[index]) for index, row in outputs.items()
-    )
+    served = detail.aggregated.get(model)
     return ChaosResult(
-        wall_s=wall_s,
-        completed=len(outputs),
-        shed=shed,
-        deadline_expired=deadline_expired,
-        failed=failed,
+        ledger=ledger,
+        bit_identical=ledger.bit_identical(expected),
         retries=detail.retries,
         hedges=detail.hedges,
         quarantined=detail.quarantined,
         respawns=detail.respawns,
         requeued=detail.requeued,
-        bit_identical=bit_identical,
-        p99_ms=p99_ms,
+        p99_ms=served.latency.p99_ms if served is not None else 0.0,
         fault_events=fault_events,
         schedule=schedule,
-        outputs=outputs,
     )
 
 
@@ -657,17 +668,13 @@ def run_chaos_scenario(
 class RolloutDrillResult:
     """Outcome of one live-rollout drill (:func:`run_rollout_drill`).
 
-    Same lossless accounting contract as :class:`ChaosResult`: every
-    offered request completed, was shed, or failed — a hung future
-    raises instead of returning.  ``phase`` is the rollout's final
-    phase; a drill that never reaches a terminal phase within the wait
-    budget reports the live phase it was left in.
+    ``phase`` is the rollout's final phase; a drill that never reaches a
+    terminal phase within :data:`ROLLOUT_TERMINAL_WAIT_S` reports the
+    live phase it was left in.
     """
 
-    wall_s: float
-    completed: int
-    shed: int
-    failed: int
+    ledger: RequestLedger
+    bit_identical: bool
     #: Final rollout phase (``committed`` / ``rolled_back`` / live phase).
     phase: str
     rollback_reason: Optional[str]
@@ -675,21 +682,8 @@ class RolloutDrillResult:
     new_digest: str
     #: Canary comparison accounting (``samples`` / ``mismatches`` / means).
     canary: dict
-    bit_identical: bool
     #: JSON-stable rollout event records (``RolloutEvent.as_record``).
     timeline: tuple
-    #: Completed rows keyed by offered-request index.
-    outputs: dict
-
-    @property
-    def offered(self) -> int:
-        return self.completed + self.shed + self.failed
-
-    @property
-    def goodput_rps(self) -> float:
-        if self.wall_s <= 0:
-            return float("inf") if self.completed else 0.0
-        return self.completed / self.wall_s
 
     def table(self) -> str:
         rows = [
@@ -697,15 +691,11 @@ class RolloutDrillResult:
             ("new digest", self.new_digest[:16] + "..."),
             ("final phase", self.phase),
             ("rollback reason", self.rollback_reason or "-"),
-            ("offered", self.offered),
-            ("completed", self.completed),
-            ("shed", self.shed),
-            ("failed", self.failed),
-            ("goodput (req/s)", self.goodput_rps),
+        ] + self.ledger.summary_rows() + [
             ("canary samples", self.canary.get("samples", 0)),
             ("canary mismatches", self.canary.get("mismatches", 0)),
             ("bit identical", self.bit_identical),
-            ("wall time (s)", self.wall_s),
+            ("wall time (s)", self.ledger.wall_s),
         ]
         lines = [format_kv(rows, title="Live rollout drill")]
         if self.timeline:
@@ -728,15 +718,13 @@ def run_rollout_drill(
     operator_rollback: bool = False,
     publish_at: float = 0.25,
     rollout=None,
-    drain_timeout_s: float = 60.0,
-    terminal_wait_s: float = 15.0,
     **cluster_kwargs,
 ) -> RolloutDrillResult:
     """Drive a live rollout under sustained open-loop load, end to end.
 
     Builds a cluster serving ``model``, offers ``requests`` Poisson
-    arrivals at ``offered_rps`` with non-blocking admission, and — once
-    the arrival cursor crosses ``publish_at`` (a fraction of the
+    arrivals at ``offered_rps`` through :func:`drive_open_loop`, and —
+    once the arrival cursor crosses ``publish_at`` (a fraction of the
     schedule) — publishes a v2 artifact and lets the canary → promote →
     commit sequence ride the drill's own traffic:
 
@@ -755,23 +743,15 @@ def run_rollout_drill(
     single-process baseline over the same images (served by whichever
     digest ended up active — both are output-identical unless the drill
     was divergent, in which case the divergent artifact must never have
-    served a client answer).  A future unresolved ``drain_timeout_s``
-    after its submission raises — a rollout must never lose admitted
-    work.
+    served a client answer).
     """
     from repro.models.zoo import build_phonebit_network, get_serving_config
-    from repro.serving.cluster import (
-        ClusterOverloadError,
-        ClusterService,
-        RetryPolicy,
-        WorkerCrashError,
-    )
+    from repro.serving.cluster import ClusterService, RetryPolicy
 
     if requests <= 0:
         raise ValueError("requests must be positive")
     if not 0.0 <= publish_at <= 1.0:
         raise ValueError("publish_at must be in [0, 1]")
-
     config = get_serving_config(model)
     images = synthetic_images(config.input_shape, requests, seed=seed)
     # The candidate artifact: fresh weights when divergent (the canary
@@ -783,82 +763,32 @@ def run_rollout_drill(
     else:
         v2 = build_phonebit_network(config)
         v2.metadata["release"] = "drill-v2"
+    offsets = poisson_offsets(np.random.default_rng(seed), offered_rps,
+                              requests)
 
     cluster_kwargs.setdefault("models", (model,))
     cluster_kwargs.setdefault("retry", RetryPolicy())
     cluster = ClusterService(workers=workers, **cluster_kwargs)
-
-    rng = np.random.default_rng(seed)
-    offsets = poisson_offsets(rng, offered_rps, requests)
-    publish_index = min(requests - 1, int(publish_at * requests))
-    rollback_index = min(requests - 1,
-                         publish_index + max(1, (requests - publish_index) // 2))
-    futures: dict = {}
-    outputs: dict = {}
-    shed = 0
-    failed = 0
-    new_digest = ""
     try:
-        def arrive(index: int) -> None:
-            nonlocal shed, new_digest
-            if index == publish_index:
-                new_digest = cluster.publish(v2, model=model, rollout=rollout)
-            if operator_rollback and index == rollback_index:
-                try:
-                    cluster.rollback(model, reason="drill operator rollback")
-                except (KeyError, RuntimeError):
-                    pass  # already terminal — nothing to abort
-            try:
-                futures[index] = cluster.submit(model, images[index],
-                                                block=False)
-            except ClusterOverloadError:
-                shed += 1
-
-        t0 = run_arrival_schedule(offsets, arrive)
-        for index, future in futures.items():
-            budget = drain_timeout_s - (time.perf_counter() - t0)
-            try:
-                outputs[index] = future.result(timeout=max(1.0, budget))
-            except WorkerCrashError:
-                failed += 1
-            except FuturesTimeoutError:
-                raise RuntimeError(
-                    f"hung future: request {index} unresolved "
-                    f"{drain_timeout_s:.0f}s after submission — the cluster "
-                    f"lost track of admitted work during the rollout")
-        # Bounded wait for the controller to reach a terminal phase (the
-        # monitor thread keeps ticking timeouts, so this cannot hang).
-        deadline = time.perf_counter() + terminal_wait_s
-        status = cluster.rollout_status(model)[0]
-        while (status["phase"] not in ("committed", "rolled_back")
-               and time.perf_counter() < deadline):
-            time.sleep(0.05)
-            status = cluster.rollout_status(model)[0]
+        ledger = drive_open_loop(
+            cluster, offsets, lambda i: (None, model, i, images[i], None),
+            on_arrival=rollout_trigger(cluster, model, v2, rollout,
+                                       publish_at, requests,
+                                       operator_rollback=operator_rollback))
+        status = await_rollout(cluster, model)
         timeline = tuple(cluster.rollout_timeline(model))
-        wall_s = time.perf_counter() - t0
-        baseline = cluster.baseline_service()
-        try:
-            expected = run_closed_loop(baseline, model, images).outputs
-        finally:
-            baseline.close()
+        expected = baseline_outputs(cluster, {model: images})
     finally:
         cluster.close()
-    bit_identical = all(
-        np.array_equal(row, expected[index]) for index, row in outputs.items()
-    )
     return RolloutDrillResult(
-        wall_s=wall_s,
-        completed=len(outputs),
-        shed=shed,
-        failed=failed,
+        ledger=ledger,
+        bit_identical=ledger.bit_identical(expected),
         phase=str(status["phase"]),
         rollback_reason=status["rollback_reason"],
         old_digest=str(status["old_digest"]),
         new_digest=str(status["new_digest"]),
         canary=dict(status["canary"]),
-        bit_identical=bit_identical,
         timeline=timeline,
-        outputs=outputs,
     )
 
 

@@ -24,10 +24,11 @@ Arrival curves:
 
 The runner (:func:`run_scenario`) drives a
 :class:`~repro.serving.cluster.ClusterService` through the schedule with
-non-blocking admission, tagging every request with its tenant's SLO class
-so the router's tiered admission (shed batch before standard before
-interactive — :meth:`~repro.serving.router.LeastOutstandingRouter
-.set_slo_reserves`) and the cluster's per-class
+:func:`~repro.serving.loadgen.drive_open_loop`, tagging every request
+with its tenant's SLO class so the router's tiered admission (shed
+batch before standard before interactive —
+:meth:`~repro.serving.router.LeastOutstandingRouter.set_slo_reserves`)
+and the cluster's per-class
 :class:`~repro.serving.cluster.SLOPolicy` defaults (deadline, hedging)
 act on it end to end.  It emits per-tenant and per-class summaries
 (goodput, shed share, p50/p99 vs budget, SLO attainment), verifies every
@@ -57,14 +58,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.reporting import format_kv, format_table
+from repro.serving.loadgen import (
+    RequestLedger,
+    await_rollout,
+    baseline_outputs,
+    drive_open_loop,
+    rollout_trigger,
+    synthetic_images,
+)
 from repro.serving.metrics import percentile_ms
 from repro.serving.router import (
     SLO_CLASSES,
@@ -667,10 +674,9 @@ class ClassSummary:
 class ScenarioResult:
     """Outcome of one scenario pass (see :func:`run_scenario`).
 
-    Accounting is exact per tenant: ``offered == completed + shed +
-    deadline_expired + failed`` — every arrival lands in exactly one
-    bucket, the same lossless contract as
-    :class:`~repro.serving.loadgen.ChaosResult`.
+    ``ledger`` holds the pass's accounting, grouped by tenant name:
+    ``offered == completed + shed + deadline_expired + failed`` holds for
+    every tenant (:class:`~repro.serving.loadgen.RequestLedger`).
     """
 
     scenario: str
@@ -678,7 +684,7 @@ class ScenarioResult:
     duration_s: float
     rate_scale: float
     digest: str
-    wall_s: float
+    ledger: RequestLedger
     tenants: Tuple[TenantSummary, ...]
     classes: Tuple[ClassSummary, ...]
     bit_identical: bool
@@ -696,32 +702,6 @@ class ScenarioResult:
     #: Terminal (or last observed) phase of a live rollout driven through
     #: the pass via ``rollout_model`` (``None`` when no rollout ran).
     rollout_phase: Optional[str] = None
-
-    @property
-    def offered(self) -> int:
-        return sum(t.offered for t in self.tenants)
-
-    @property
-    def completed(self) -> int:
-        return sum(t.completed for t in self.tenants)
-
-    @property
-    def shed(self) -> int:
-        return sum(t.shed for t in self.tenants)
-
-    @property
-    def deadline_expired(self) -> int:
-        return sum(t.deadline_expired for t in self.tenants)
-
-    @property
-    def failed(self) -> int:
-        return sum(t.failed for t in self.tenants)
-
-    @property
-    def goodput_rps(self) -> float:
-        if self.wall_s <= 0:
-            return float("inf") if self.completed else 0.0
-        return self.completed / self.wall_s
 
     def class_summary(self, slo: str) -> ClassSummary:
         for summary in self.classes:
@@ -757,17 +737,11 @@ class ScenarioResult:
         )
 
     def table(self) -> str:
-        rows = [
-            ("offered", self.offered),
-            ("completed", self.completed),
-            ("shed", self.shed),
-            ("deadline expired", self.deadline_expired),
-            ("failed", self.failed),
-            ("goodput (req/s)", self.goodput_rps),
+        rows = self.ledger.summary_rows() + [
             ("bit identical", self.bit_identical),
             ("retries / hedges", f"{self.retries} / {self.hedges}"),
             ("schedule digest", self.digest[:16]),
-            ("wall time (s)", self.wall_s),
+            ("wall time (s)", self.ledger.wall_s),
         ]
         return "\n".join([
             self.tenant_table(), "", self.class_table(), "",
@@ -778,6 +752,13 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
+
+#: Distinct images per model that a scenario pass cycles through.
+SCENARIO_IMAGE_POOL = 32
+
+#: Fraction of the schedule after which ``rollout_model`` is republished.
+SCENARIO_ROLLOUT_AT = 0.5
+
 
 def run_scenario(
     spec: ScenarioSpec,
@@ -790,11 +771,8 @@ def run_scenario(
     interactive_floor: Optional[int] = None,
     slo_reserves: Optional[Mapping[str, int]] = None,
     retry=None,
-    image_pool: int = 32,
-    drain_timeout_s: float = 60.0,
     rebalance_pins: bool = False,
     rollout_model: Optional[str] = None,
-    rollout_at: float = 0.5,
     rollout_config=None,
     **cluster_kwargs,
 ) -> ScenarioResult:
@@ -805,36 +783,29 @@ def run_scenario(
     admission window and ``interactive_floor`` via
     :func:`~repro.serving.router.default_slo_reserves`) and the per-class
     policy table (``policies`` overrides merge over
-    :data:`~repro.serving.cluster.DEFAULT_SLO_POLICIES`), then submits
-    the schedule's arrivals non-blocking under each tenant's SLO class.
-    ``chaos`` composes a :class:`~repro.serving.faults.FaultPlan` into
-    the same pass.  Every completed output is verified bit-identical to
-    a fault-free single-process baseline over the same images; a future
-    unresolved ``drain_timeout_s`` after the last arrival raises —
-    silent loss never reports as success.
+    :data:`~repro.serving.cluster.DEFAULT_SLO_POLICIES`), then offers
+    the schedule's arrivals through
+    :func:`~repro.serving.loadgen.drive_open_loop` under each tenant's
+    SLO class, cycling each model over :data:`SCENARIO_IMAGE_POOL`
+    images.  ``chaos`` composes a :class:`~repro.serving.faults
+    .FaultPlan` into the same pass.  Every completed output is verified
+    bit-identical to a fault-free single-process baseline over the same
+    images.
 
     ``rollout_model`` names one scenario model to republish mid-pass: a
     byte-distinct but output-identical v2 artifact is published once the
-    arrival cursor crosses ``rollout_at`` (a fraction of the schedule),
+    arrival cursor crosses :data:`SCENARIO_ROLLOUT_AT` of the schedule,
     and the canary/promote/commit sequence rides the scenario's own
     traffic.  The pass's bit-identical verification is unchanged — a
     rollout that perturbs even one answer fails the whole scenario —
     and the rollout's final phase lands in ``ScenarioResult
     .rollout_phase``.
     """
+    from repro.models.zoo import build_phonebit_network, get_serving_config
     from repro.serving.cluster import (
         DEFAULT_SLO_POLICIES,
-        ClusterOverloadError,
         ClusterService,
-        DeadlineExceededError,
         RetryPolicy,
-        WorkerCrashError,
-    )
-    from repro.models.zoo import build_phonebit_network, get_serving_config
-    from repro.serving.loadgen import (
-        run_arrival_schedule,
-        run_closed_loop,
-        synthetic_images,
     )
 
     schedule = spec.compile(seed, duration_s=duration_s,
@@ -853,15 +824,12 @@ def run_scenario(
                                             interactive_floor)
     models = spec.model_names()
     cluster_kwargs.setdefault("models", models)
+    images = {
+        model: synthetic_images(get_serving_config(model).input_shape,
+                                SCENARIO_IMAGE_POOL, seed=seed)
+        for model in models
+    }
 
-    images: Dict[str, np.ndarray] = {}
-    for model in models:
-        config = get_serving_config(model)
-        images[model] = synthetic_images(
-            config.input_shape, image_pool, seed=seed)
-
-    rollout_network = None
-    rollout_trigger = -1
     if rollout_model is not None:
         matches = [m for m in models if m.lower() == rollout_model.lower()]
         if not matches:
@@ -869,33 +837,21 @@ def run_scenario(
                 f"rollout_model {rollout_model!r} is not a scenario model; "
                 f"scenario models: {models}")
         rollout_model = matches[0]
-        if not 0.0 <= rollout_at <= 1.0:
-            raise ValueError("rollout_at must be in [0, 1]")
         # Same weights as the cluster's published artifact, stamped so the
         # serialized bytes (and therefore the digest) differ: a v2 release
         # of an unchanged model, the safe-rollout base case.
         rollout_network = build_phonebit_network(
             get_serving_config(rollout_model))
         rollout_network.metadata["release"] = "scenario-v2"
-        rollout_trigger = min(len(offsets) - 1,
-                              int(rollout_at * len(offsets)))
 
-    tenant_count = len(spec.tenants)
-    offered = [0] * tenant_count
-    shed = [0] * tenant_count
-    expired = [0] * tenant_count
-    failed = [0] * tenant_count
-    latencies: List[List[float]] = [[] for _ in range(tenant_count)]
-    within: List[int] = [0] * tenant_count
-    budgets = [
-        tenant.budget_ms if tenant.budget_ms is not None
-        else policy_table[tenant.slo].latency_budget_ms
-        for tenant in spec.tenants
-    ]
     model_cursor = {model: 0 for model in models}
-    futures: Dict[int, tuple] = {}
-    submit_at: Dict[int, float] = {}
-    done_at: Dict[int, float] = {}
+
+    def arrival(i: int) -> tuple:
+        tenant = spec.tenants[int(tenant_index[i])]
+        model = model_names[i]
+        image_i = model_cursor[model] % SCENARIO_IMAGE_POOL
+        model_cursor[model] += 1
+        return tenant.name, model, image_i, images[model][image_i], tenant.slo
 
     cluster = ClusterService(
         workers=workers,
@@ -906,104 +862,41 @@ def run_scenario(
         **cluster_kwargs,
     )
     try:
-        def arrive(arrival: int) -> None:
-            if arrival == rollout_trigger and rollout_network is not None:
-                cluster.publish(rollout_network, model=rollout_model,
-                                rollout=rollout_config)
-            tenant_i = int(tenant_index[arrival])
-            tenant = spec.tenants[tenant_i]
-            model = model_names[arrival]
-            cursor = model_cursor[model]
-            model_cursor[model] = cursor + 1
-            image_i = cursor % len(images[model])
-            offered[tenant_i] += 1
-            now = time.perf_counter()
-            try:
-                future = cluster.submit(model, images[model][image_i],
-                                        block=False, slo=tenant.slo)
-            except ClusterOverloadError:
-                shed[tenant_i] += 1
-                return
-            except DeadlineExceededError:  # pragma: no cover - sync expiry
-                expired[tenant_i] += 1
-                return
-            submit_at[arrival] = now
-            future.add_done_callback(
-                lambda _f, key=arrival: done_at.__setitem__(
-                    key, time.perf_counter()))
-            futures[arrival] = (tenant_i, model, image_i, future)
-
-        t0 = run_arrival_schedule(offsets, arrive)
-        outputs: Dict[tuple, np.ndarray] = {}
-        for arrival, (tenant_i, model, image_i, future) in futures.items():
-            budget_s = drain_timeout_s - (time.perf_counter() - t0)
-            try:
-                row = future.result(timeout=max(1.0, budget_s))
-            except DeadlineExceededError:
-                expired[tenant_i] += 1
-                continue
-            except WorkerCrashError:
-                failed[tenant_i] += 1
-                continue
-            except FuturesTimeoutError:
-                raise RuntimeError(
-                    f"hung future: arrival {arrival} unresolved "
-                    f"{drain_timeout_s:.0f}s after submission — the "
-                    "cluster lost track of admitted work"
-                )
-            outputs[(model, image_i)] = row
-            latency_s = done_at.get(arrival, time.perf_counter()) \
-                - submit_at[arrival]
-            latencies[tenant_i].append(latency_s)
-            if latency_s * 1000.0 <= budgets[tenant_i]:
-                within[tenant_i] += 1
-        rollout_phase = None
-        if rollout_network is not None:
-            # Arrivals have drained; give the controller a bounded window
-            # to reach a terminal phase (commit finalize, or timeout →
-            # rollback) before we report.  The monitor thread keeps
-            # ticking the state machine while we wait.
-            deadline = time.perf_counter() + 15.0
-            while time.perf_counter() < deadline:
-                status = cluster.rollout_status(rollout_model)
-                rollout_phase = status[0]["phase"] if status else None
-                if rollout_phase in ("committed", "rolled_back"):
-                    break
-                time.sleep(0.05)
-        wall_s = time.perf_counter() - t0
+        on_arrival = None
+        if rollout_model is not None:
+            on_arrival = rollout_trigger(cluster, rollout_model,
+                                         rollout_network, rollout_config,
+                                         SCENARIO_ROLLOUT_AT, len(offsets))
+        ledger = drive_open_loop(cluster, offsets, arrival,
+                                 on_arrival=on_arrival)
+        status = (None if rollout_model is None
+                  else await_rollout(cluster, rollout_model))
         fault_events = tuple(cluster.fault_events)
         detail = cluster.cluster_report()
         model_shares = cluster.measured_model_shares()
         pins_applied = cluster.rebalance_pinning() if rebalance_pins else None
-        baseline = cluster.baseline_service()
-        try:
-            expected: Dict[tuple, np.ndarray] = {}
-            for model in models:
-                rows = run_closed_loop(baseline, model,
-                                       images[model]).outputs
-                for image_i, row in enumerate(rows):
-                    expected[(model, image_i)] = row
-        finally:
-            baseline.close()
+        expected = baseline_outputs(cluster, images)
     finally:
         cluster.close()
 
-    bit_identical = all(
-        np.array_equal(row, expected[key]) for key, row in outputs.items()
-    )
-    tenant_summaries = tuple(
-        TenantSummary(
-            tenant=tenant.name, slo=tenant.slo, offered=offered[i],
-            completed=len(latencies[i]), shed=shed[i],
-            deadline_expired=expired[i], failed=failed[i],
-            within_budget=within[i], budget_ms=float(budgets[i]),
-            p50_ms=percentile_ms(latencies[i], 50.0),
-            p99_ms=percentile_ms(latencies[i], 99.0),
-            goodput_rps=(len(latencies[i]) / wall_s if wall_s > 0 else 0.0),
-        )
-        for i, tenant in enumerate(spec.tenants)
-    )
-    total_shed = sum(t.shed for t in tenant_summaries)
+    tenant_summaries = []
+    for tenant in spec.tenants:
+        group = ledger.group(tenant.name)
+        budget_ms = (tenant.budget_ms if tenant.budget_ms is not None
+                     else policy_table[tenant.slo].latency_budget_ms)
+        latencies = group.latencies_s
+        tenant_summaries.append(TenantSummary(
+            tenant=tenant.name, slo=tenant.slo, offered=group.offered,
+            completed=group.completed, shed=group.shed,
+            deadline_expired=group.deadline_expired, failed=group.failed,
+            within_budget=sum(1 for s in latencies
+                              if s * 1000.0 <= budget_ms),
+            budget_ms=float(budget_ms),
+            p50_ms=percentile_ms(latencies, 50.0),
+            p99_ms=percentile_ms(latencies, 99.0),
+            goodput_rps=group.goodput_rps,
+        ))
+    total_shed = ledger.shed
     class_summaries = []
     for slo in SLO_CLASSES:
         members = [t for t in tenant_summaries if t.slo == slo]
@@ -1027,13 +920,14 @@ def run_scenario(
     return ScenarioResult(
         scenario=spec.name, seed=int(seed),
         duration_s=schedule.duration_s, rate_scale=schedule.rate_scale,
-        digest=schedule.digest(), wall_s=wall_s,
-        tenants=tenant_summaries, classes=tuple(class_summaries),
-        bit_identical=bit_identical, model_shares=model_shares,
+        digest=schedule.digest(), ledger=ledger,
+        tenants=tuple(tenant_summaries), classes=tuple(class_summaries),
+        bit_identical=ledger.bit_identical(expected),
+        model_shares=model_shares,
         pin_suggestion=pin_suggestion, pins_applied=pins_applied,
         retries=detail.retries, hedges=detail.hedges,
         respawns=detail.respawns, fault_events=fault_events,
-        rollout_phase=rollout_phase,
+        rollout_phase=None if status is None else status["phase"],
     )
 
 

@@ -526,22 +526,22 @@ class TestSpikeLoad:
     def test_phases_account_offered_and_shed(self):
         with make_cluster(workers=1) as cluster:
             images = synthetic_images((8, 8, 3), 8, seed=9)
-            result = run_spike_load(
+            ledger = run_spike_load(
                 cluster, "MicroCNN", images,
                 phases=[("warm", 50.0, 0.2), ("spike", 200.0, 0.2)],
             )
-            assert [p.name for p in result.phases] == ["warm", "spike"]
-            assert result.phase("spike").offered == result.phases[1].offered
-            assert result.offered == sum(p.offered for p in result.phases)
-            assert result.shed == sum(p.shed for p in result.phases)
-            assert result.completed == result.offered - result.shed
-            assert 0.0 <= result.phase("warm").shed_rate <= 1.0
-            assert "spike" in result.table()
+            assert ledger.groups == ("warm", "spike")
+            phases = [ledger.group(name) for name in ledger.groups]
+            assert ledger.offered == sum(p.offered for p in phases)
+            assert ledger.shed == sum(p.shed for p in phases)
+            assert ledger.completed == ledger.offered - ledger.shed
+            assert 0.0 <= ledger.group("warm").shed_rate <= 1.0
+            assert "spike" in ledger.table()
 
     def test_outputs_match_the_images_they_were_keyed_to(self):
         with make_cluster(workers=1) as cluster:
             images = synthetic_images((8, 8, 3), 4, seed=10)
-            result = run_spike_load(
+            ledger = run_spike_load(
                 cluster, "MicroCNN", images, phases=[("only", 100.0, 0.3)],
             )
             baseline = cluster.baseline_service()
@@ -549,6 +549,5 @@ class TestSpikeLoad:
                 base = run_closed_loop(baseline, "MicroCNN", images)
             finally:
                 baseline.close()
-            assert result.outputs  # the run admitted something
-            for index, row in result.outputs.items():
-                assert np.array_equal(row, base.outputs[index])
+            assert ledger.completed  # the run admitted something
+            assert ledger.bit_identical({"MicroCNN": base.outputs})

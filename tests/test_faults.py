@@ -446,10 +446,11 @@ class TestChaosScenario:
         )
         # Every offered request resolved into exactly one bucket — a hung
         # future would have raised inside the scenario runner.
-        assert result.offered == 96
-        assert (result.completed + result.shed + result.deadline_expired
-                + result.failed) == 96
-        assert result.failed == 0
+        ledger = result.ledger
+        assert ledger.offered == 96
+        assert (ledger.completed + ledger.shed + ledger.deadline_expired
+                + ledger.failed) == 96
+        assert ledger.failed == 0
         assert result.bit_identical
         assert len(result.fault_events) >= 1
         # The same seed reproduces the same fault schedule.
@@ -463,16 +464,17 @@ class TestChaosScenario:
             deadline_s=5.0,
             heartbeat_interval_s=0.1, heartbeat_timeout_s=1.0,
         )
-        assert result.offered == 48
-        assert (result.completed + result.shed + result.deadline_expired
-                + result.failed) == 48
+        ledger = result.ledger
+        assert ledger.offered == 48
+        assert (ledger.completed + ledger.shed + ledger.deadline_expired
+                + ledger.failed) == 48
         assert result.bit_identical  # whatever completed is bit-exact
 
     def test_fault_free_control_run(self):
         result = run_chaos_scenario(
             None, workers=2, requests=24, offered_rps=200.0, seed=1,
         )
-        assert result.completed == 24
+        assert result.ledger.completed == 24
         assert result.fault_events == ()
         assert result.schedule == ()
         assert result.bit_identical

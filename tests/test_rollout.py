@@ -595,8 +595,8 @@ class TestLiveRollout:
                                   min_canary_samples=10**6))
         assert result.phase == "rolled_back"
         assert result.rollback_reason == "drill operator rollback"
-        assert result.shed == 0
-        assert result.failed == 0
+        assert result.ledger.shed == 0
+        assert result.ledger.failed == 0
         assert result.bit_identical
 
     def test_zero_shed_zero_loss_drill_commits(self):
@@ -606,9 +606,9 @@ class TestLiveRollout:
             rollout=RolloutConfig(canary_fraction=0.5,
                                   min_canary_samples=3))
         assert result.phase == "committed"
-        assert result.shed == 0
-        assert result.failed == 0
-        assert result.completed == result.offered
+        assert result.ledger.shed == 0
+        assert result.ledger.failed == 0
+        assert result.ledger.completed == result.ledger.offered
         assert result.bit_identical
         kinds = [e["kind"] for e in result.timeline]
         assert kinds[0] == "start" and kinds[-1] == "complete"

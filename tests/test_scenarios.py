@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.serving.cluster import DEFAULT_SLO_POLICIES, SLOPolicy
 from repro.serving.loadgen import (
+    RequestLedger,
     phased_poisson_offsets,
     poisson_offsets,
     run_arrival_schedule,
@@ -410,7 +411,8 @@ def _result(seed: int, attainment_pairs) -> ScenarioResult:
             shed_share=0.0))
     return ScenarioResult(
         scenario="synthetic", seed=seed, duration_s=1.0, rate_scale=1.0,
-        digest="0" * 64, wall_s=1.0, tenants=tuple(tenants),
+        digest="0" * 64, ledger=RequestLedger(wall_s=1.0),
+        tenants=tuple(tenants),
         classes=tuple(classes), bit_identical=True, model_shares={},
         pin_suggestion=None, pins_applied=None, retries=0, hedges=0,
         respawns=0)
@@ -450,7 +452,7 @@ class TestScenarioRunner:
         for tenant in result.tenants:
             assert tenant.offered == (tenant.completed + tenant.shed +
                                       tenant.deadline_expired + tenant.failed)
-        assert result.offered == spec.compile(3, duration_s=1.0).offered
+        assert result.ledger.offered == spec.compile(3, duration_s=1.0).offered
         assert result.digest == spec.compile(3, duration_s=1.0).digest()
         # Completed outputs match the single-process engine bit-for-bit.
         assert result.bit_identical
