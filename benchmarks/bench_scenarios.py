@@ -39,6 +39,7 @@ Usage:
 """
 
 import argparse
+import statistics
 import sys
 
 #: label -> (bundled spec name, rate_scale).  The overload label is
@@ -54,6 +55,10 @@ SCENARIOS = (
 
 QUICK_SCENARIOS = ("steady_mix", "flash_crowd_overload")
 
+#: Saturating probes per calibration; capacity is their median goodput,
+#: so one probe slowed by a noisy neighbour cannot skew the overload pass.
+CALIBRATION_PROBES = 3
+
 
 def calibrate_capacity(args) -> float:
     """Measured open-loop goodput (req/s) of the bench's cluster shape.
@@ -62,7 +67,8 @@ def calibrate_capacity(args) -> float:
     pacing in the way), then a deliberately saturating open-loop probe
     through the scenario machinery itself at 2.5x that ceiling — the
     probe's goodput is the capacity the overload factor is judged
-    against, measured the same way the overload run will be.
+    against, measured the same way the overload run will be.  The probe
+    runs :data:`CALIBRATION_PROBES` times and the median goodput counts.
     """
     from repro.models.zoo import get_serving_config
     from repro.serving.cluster import ClusterService
@@ -80,11 +86,14 @@ def calibrate_capacity(args) -> float:
         cluster.close()
     probe = ScenarioSpec.parse(f"probe,slo=batch,rate={2.5 * ceiling:.3f}",
                                name="calibrate")
-    result = run_scenario(probe, seed=args.seed, workers=args.workers,
-                          duration_s=min(1.0, args.duration_s),
-                          max_batch_size=args.batch,
-                          max_outstanding=4 * args.batch)
-    return max(1.0, result.ledger.goodput_rps)
+    goodputs = [
+        run_scenario(probe, seed=args.seed, workers=args.workers,
+                     duration_s=min(1.0, args.duration_s),
+                     max_batch_size=args.batch,
+                     max_outstanding=4 * args.batch).ledger.goodput_rps
+        for _ in range(CALIBRATION_PROBES)
+    ]
+    return max(1.0, statistics.median(goodputs))
 
 
 def overload_spec(capacity_rps: float, overload_x: float):

@@ -9,7 +9,8 @@ This package provides that layer:
   :mod:`repro.core.binary_conv`.  Always available, always correct; the
   reference every other backend is gated against.
 * ``cffi`` — a single C translation unit (``_kernels.c``: xor-popcount
-  GEMM, fused-threshold-accumulate-and-pack, packed patch extraction)
+  GEMM, fused-threshold-accumulate-and-pack, packed patch extraction, and
+  the input convolution's float32 threshold-pack)
   compiled at first use with the host toolchain and cached per host
   (:mod:`repro.core.backends.cffi_backend`).  OpenMP-free: parallelism
   stays in the plan's shared thread pool, and cffi releases the GIL for
@@ -158,7 +159,7 @@ def _random_words(rng, shape, dtype) -> np.ndarray:
 
 
 def _self_test(impl) -> None:
-    """Global smoke check of all three kernels before a backend is cached.
+    """Global smoke check of all four kernels before a backend is cached.
 
     Per-step probes (:func:`verify_fused_step`) re-check the fused kernel
     against each step's real filters; this catches a completely broken
@@ -192,19 +193,78 @@ def _self_test(impl) -> None:
         raise BackendUnavailable(
             f"{impl.name} patch extraction disagrees with the NumPy reference"
         )
+    x1 = rng.integers(-50, 50, size=(13, 10)).astype(np.float32)
+    thresh = rng.integers(-20, 20, size=10).astype(np.int32)
+    out_np = np.zeros((13, 2), dtype=np.uint8)
+    out_c = np.zeros((13, 2), dtype=np.uint8)
+    bitpack.threshold_pack_rows(x1, thresh, flip, out_np, 0, 13, 8)
+    impl.threshold_pack_rows(x1, thresh, flip, out_c, 0, 13, 8)
+    if not np.array_equal(out_np, out_c):
+        raise BackendUnavailable(
+            f"{impl.name} threshold-pack kernel disagrees with the NumPy reference"
+        )
+
+
+def _split_rows_match(reference, compiled, rows: int, out_shape, out_dtype) -> bool:
+    """Run both kernels over two row ranges into fresh outputs; compare."""
+    out_np = np.zeros(out_shape, dtype=out_dtype)
+    out_c = np.zeros(out_shape, dtype=out_dtype)
+    for r0, r1 in ((0, rows // 2), (rows // 2, rows)):
+        reference(out_np, r0, r1)
+        compiled(out_c, r0, r1)
+    return np.array_equal(out_np, out_c)
+
+
+def _verify_input_conv(impl, step, rng) -> bool:
+    """Probe the float32 threshold-pack on the step's own thresholds.
+
+    The synthetic ``x1`` rows put every channel exactly at, one below and
+    one above its threshold, plus uniform values over ``±bound`` — the
+    whole range the exact GEMM can produce.
+    """
+    bound = step.layer.x1_magnitude_bound
+    threshold = step.threshold
+    edges = np.stack([threshold - 1, threshold, threshold + 1])
+    x1 = np.concatenate([
+        np.clip(edges, -bound, bound),
+        rng.integers(-bound, bound + 1, size=(6, threshold.shape[0])),
+    ]).astype(np.float32)
+    rows, cols = x1.shape
+    shape = (rows, bitpack.words_per_channel(cols, step.out_word_size))
+    return _split_rows_match(
+        lambda out, r0, r1: bitpack.threshold_pack_rows(
+            x1, threshold, step.flip, out, r0, r1, step.out_word_size),
+        lambda out, r0, r1: impl.threshold_pack_rows(
+            x1, threshold, step.flip, out, r0, r1, step.out_word_size),
+        rows, shape, bitpack.word_dtype(step.out_word_size),
+    )
 
 
 def verify_fused_step(impl, step, rng=None) -> bool:
     """Bit-exactness probe of one fused plan step against NumPy.
 
-    Runs the compiled fused kernel on synthetic packed inputs against the
-    step's *actual* packed filters, accumulator thresholds and flips —
-    split across two row ranges so the tiling offsets are exercised — and,
-    for convolution steps, the compiled patch gather against
-    :func:`repro.core.binary_conv.packed_patch_matrix` on the step's
-    geometry.  Returns True only on a bit-for-bit match.
+    Runs the compiled kernels the step would use on synthetic inputs
+    against the step's *actual* operands, split across two row ranges so
+    the tiling offsets are exercised, and returns True only on a
+    bit-for-bit match:
+
+    * the input convolution: the float32 threshold-pack on its integer
+      thresholds and flips (:func:`_verify_input_conv`);
+    * a binary-output xor-popcount step: the fused kernel on synthetic
+      packed rows against its packed filters and accumulator thresholds;
+    * a float head: the plain xor-popcount GEMM against its filters;
+    * and for convolutions, the compiled patch gather against
+      :func:`repro.core.binary_conv.packed_patch_matrix` on the step's
+      geometry.
+
+    A step with no compiled kernels (``step.compilable`` false) never
+    verifies.
     """
+    if not getattr(step, "compilable", False):
+        return False
     rng = np.random.default_rng(33) if rng is None else rng
+    if step.is_input_conv:
+        return _verify_input_conv(impl, step, rng)
     filters = getattr(step, "flat_filters", None)
     if filters is None:
         filters = step.weights_packed
@@ -212,24 +272,30 @@ def verify_fused_step(impl, step, rng=None) -> bool:
     cols, n_words = filters.shape
     rows = 9
     a = _random_words(rng, (rows, n_words), filters.dtype)
-    wc_out = bitpack.words_per_channel(cols, step.out_word_size)
-    out_dtype = bitpack.word_dtype(step.out_word_size)
-    out_np = np.zeros((rows, wc_out), dtype=out_dtype)
-    out_c = np.zeros((rows, wc_out), dtype=out_dtype)
-    for r0, r1 in ((0, 4), (4, rows)):
-        bitpack.fused_xor_threshold_rows(
-            a, filters, step.acc_threshold, step.flip, out_np, r0, r1,
-            step.out_word_size,
+    if step.float_out:
+        matched = _split_rows_match(
+            lambda out, r0, r1: bitpack.xor_popcount_gemm(
+                a[r0:r1], filters, out=out[r0:r1]),
+            lambda out, r0, r1: impl.xor_popcount_gemm_rows(
+                a, filters, out, r0, r1),
+            rows, (rows, cols), np.int64,
         )
-        impl.fused_xor_threshold_rows(
-            a, filters, step.acc_threshold, step.flip, out_c, r0, r1,
-            step.out_word_size,
+    else:
+        matched = _split_rows_match(
+            lambda out, r0, r1: bitpack.fused_xor_threshold_rows(
+                a, filters, step.acc_threshold, step.flip, out, r0, r1,
+                step.out_word_size),
+            lambda out, r0, r1: impl.fused_xor_threshold_rows(
+                a, filters, step.acc_threshold, step.flip, out, r0, r1,
+                step.out_word_size),
+            rows, (rows, bitpack.words_per_channel(cols, step.out_word_size)),
+            bitpack.word_dtype(step.out_word_size),
         )
-    if not np.array_equal(out_np, out_c):
+    if not matched:
         return False
-    layer = getattr(step, "layer", None)
+    layer = step.layer
     kernel_size = getattr(layer, "kernel_size", None)
-    if kernel_size is not None and not getattr(step, "is_input_conv", False):
+    if kernel_size is not None:
         k, stride, padding = kernel_size, layer.stride, layer.padding
         if not (k == 1 and padding == 0 and stride == 1):
             wc_in = bitpack.words_per_channel(layer.in_channels, layer.word_size)
@@ -252,16 +318,19 @@ def verify_fused_step(impl, step, rng=None) -> bool:
 def select_for_plan(plan, spec: Optional[str] = None) -> Dict[str, str]:
     """Attach a backend to every fused step of ``plan`` (idempotent).
 
-    Each eligible step is probed with :func:`verify_fused_step`; steps
-    that fail the probe — and steps with no compiled lowering, like the
-    exact-GEMM input convolution — keep the NumPy path.  Returns the
-    per-step selection report (also stored as ``plan.backend_selection``).
+    Each compilable step — every binary conv and dense step, float heads
+    included, and the input convolution when its exact GEMM runs in
+    float32 — is probed with :func:`verify_fused_step`.  Steps that fail
+    the probe, fallback layer steps, and steps with no compiled kernel (an
+    input convolution whose ``x1`` bound forces a float64 GEMM, or that
+    ends in a float head) keep the NumPy path.  Returns the per-step
+    selection report (also stored as ``plan.backend_selection``).
     """
     name, impl = resolve_backend(spec)
     report: Dict[str, str] = {}
     for index, step in enumerate(plan.steps):
         key = f"[{index}] {step.describe}"
-        if not getattr(step, "fused", False) or getattr(step, "is_input_conv", False):
+        if not getattr(step, "compilable", False):
             step_backend = "numpy"
         elif impl is None:
             step_backend = "numpy"

@@ -1,8 +1,9 @@
 /* Compiled inner loops for the fused execution plan.
  *
- * One translation unit, three kernels — the xor-popcount GEMM, the
- * fused-threshold-accumulate-and-pack kernel, and the packed
- * patch-extraction gather.  All three operate on *bytes*: a packed
+ * One translation unit, four kernels — the xor-popcount GEMM, the
+ * fused-threshold-accumulate-and-pack kernel, the packed
+ * patch-extraction gather, and the input convolution's threshold-pack of
+ * float32 pre-activations.  The packed ones operate on *bytes*: a packed
  * activation/filter row is an opaque little-endian bit stream, so one
  * kernel serves every packing word width (uchar..ulong) without
  * per-dtype specializations.  Bit i of byte j holds channel 8*j + i,
@@ -91,10 +92,15 @@ void repro_fused_xor_threshold_pack(
     }
 }
 
+/* Rows of `a` that share one pass over `b` in the plain GEMM. */
+#define GEMM_ROW_BLOCK 8
+
 /* Plain all-pairs xor-popcount GEMM: out[i, j] = xor_popcount(a[i], b[j])
  * for rows [row_start, row_stop), int64 output (the dtype the NumPy
  * GEMM produces).  out_cols is the full output row width so a tile call
- * indexes the shared output correctly. */
+ * indexes the shared output correctly.  Rows are processed in blocks of
+ * GEMM_ROW_BLOCK against each filter row in turn, so a filter bank larger
+ * than the cache (a dense head's) streams once per block, not per row. */
 void repro_xor_popcount_gemm(
     const uint8_t *a, ptrdiff_t a_stride,
     const uint8_t *b, ptrdiff_t b_stride,
@@ -102,11 +108,15 @@ void repro_xor_popcount_gemm(
     int64_t *out, ptrdiff_t out_cols,
     ptrdiff_t row_start, ptrdiff_t row_stop)
 {
-    for (ptrdiff_t i = row_start; i < row_stop; i++) {
-        const uint8_t *arow = a + i * a_stride;
-        int64_t *orow = out + i * out_cols;
+    for (ptrdiff_t i0 = row_start; i0 < row_stop; i0 += GEMM_ROW_BLOCK) {
+        ptrdiff_t i1 = i0 + GEMM_ROW_BLOCK < row_stop ? i0 + GEMM_ROW_BLOCK
+                                                      : row_stop;
         for (ptrdiff_t j = 0; j < cols; j++) {
-            orow[j] = (int64_t)xor_popcount_row(arow, b + j * b_stride, n_bytes);
+            const uint8_t *brow = b + j * b_stride;
+            for (ptrdiff_t i = i0; i < i1; i++) {
+                out[i * out_cols + j] = (int64_t)xor_popcount_row(
+                    a + i * a_stride, brow, n_bytes);
+            }
         }
     }
 }
@@ -155,5 +165,43 @@ void repro_packed_patch_rows(
                 memset(dst + kw_hi * pix_bytes, 0,
                        (size_t)((k - kw_hi) * pix_bytes));
         }
+    }
+}
+
+/* Threshold + pack of float32 pre-activation rows (the input conv).
+ *
+ * For every row i in [row_start, row_stop) of x1 (row stride x1_stride
+ * floats, `cols` channels):
+ *
+ *     bit[i, j] = ((int32_t)x1[i, j] >= thresh[j]) ^ flip[j]
+ *
+ * packed little-endian along j into out (row stride out_stride bytes),
+ * trailing padding bits zero.  The caller guarantees every x1 value is an
+ * integer of magnitude below 2^24 (the plan's float32 exact-GEMM bound),
+ * so the conversion is exact and the compare is a pure integer compare. */
+void repro_threshold_pack_f32(
+    const float *x1, ptrdiff_t x1_stride, ptrdiff_t cols,
+    const int32_t *thresh, const uint8_t *flip,
+    uint8_t *out, ptrdiff_t out_stride,
+    ptrdiff_t row_start, ptrdiff_t row_stop)
+{
+    const ptrdiff_t whole = cols >> 3;          /* bytes of 8 channels */
+    const ptrdiff_t used = (cols + 7) >> 3;     /* ... plus a partial one */
+    for (ptrdiff_t i = row_start; i < row_stop; i++) {
+        const float *xrow = x1 + i * x1_stride;
+        uint8_t *orow = out + i * out_stride;
+        for (ptrdiff_t jb = 0; jb < used; jb++) {
+            const ptrdiff_t j0 = jb << 3;
+            const ptrdiff_t n = jb < whole ? 8 : cols - j0;
+            unsigned byte = 0;
+            for (ptrdiff_t t = 0; t < n; t++) {
+                unsigned bit = ((int32_t)xrow[j0 + t] >= thresh[j0 + t])
+                               ^ (flip[j0 + t] != 0);
+                byte |= bit << t;
+            }
+            orow[jb] = (uint8_t)byte;
+        }
+        if (out_stride > used)
+            memset(orow + used, 0, (size_t)(out_stride - used));
     }
 }

@@ -49,6 +49,11 @@ void repro_packed_patch_rows(
     ptrdiff_t oh, ptrdiff_t ow,
     uint8_t *out, ptrdiff_t out_stride,
     ptrdiff_t row_start, ptrdiff_t row_stop);
+void repro_threshold_pack_f32(
+    const float *x1, ptrdiff_t x1_stride, ptrdiff_t cols,
+    const int32_t *thresh, const uint8_t *flip,
+    uint8_t *out, ptrdiff_t out_stride,
+    ptrdiff_t row_start, ptrdiff_t row_stop);
 """
 
 _SOURCE_FILE = os.path.join(os.path.dirname(__file__), "_kernels.c")
@@ -159,6 +164,12 @@ class CffiKernelBackend:
             ctype, self._ffi.from_buffer(array, require_writable=True)
         )
 
+    @staticmethod
+    def _flip8(flip: np.ndarray) -> np.ndarray:
+        if flip.dtype == np.bool_:
+            return flip.view(np.uint8)
+        return np.ascontiguousarray(flip, dtype=np.uint8)
+
     # -- kernels -----------------------------------------------------------
     def fused_xor_threshold_rows(self, a, b, acc_threshold, flip, out_words,
                                  row_start, row_stop, word_size,
@@ -169,8 +180,7 @@ class CffiKernelBackend:
         loop keeps one activation row register-resident across all
         filters, so column tiling buys nothing there.
         """
-        flip8 = flip.view(np.uint8) if flip.dtype == np.bool_ else \
-            np.ascontiguousarray(flip, dtype=np.uint8)
+        flip8 = self._flip8(flip)
         thresh = np.ascontiguousarray(acc_threshold, dtype=np.int32)
         self._lib.repro_fused_xor_threshold_pack(
             self._ro(a), a.strides[0],
@@ -188,6 +198,25 @@ class CffiKernelBackend:
             self._ro(b), b.strides[0],
             a.shape[1] * a.dtype.itemsize, b.shape[0],
             self._rw(out, "int64_t *"), out.shape[1],
+            int(row_start), int(row_stop),
+        )
+
+    def threshold_pack_rows(self, x1, threshold, flip, out_words,
+                            row_start, row_stop, word_size) -> None:
+        """Compiled twin of :func:`repro.core.bitpack.threshold_pack_rows`.
+
+        ``x1`` must be float32 holding integers of magnitude below 2^24
+        and ``threshold`` must fit int32 — the input conv's float32
+        exact-GEMM lowering guarantees both.
+        """
+        if x1.dtype != np.float32:
+            raise TypeError(f"threshold_pack_rows needs float32 x1, got {x1.dtype}")
+        thresh = np.ascontiguousarray(threshold, dtype=np.int32)
+        self._lib.repro_threshold_pack_f32(
+            self._ro(x1, "const float *"), x1.strides[0] // x1.itemsize,
+            x1.shape[1],
+            self._ro(thresh, "const int32_t *"), self._ro(self._flip8(flip)),
+            self._rw(out_words), out_words.strides[0],
             int(row_start), int(row_stop),
         )
 

@@ -335,11 +335,10 @@ def tune_network(
     except Exception:  # noqa: BLE001 - seeding is best-effort
         run_cost = None
 
-    uses_numpy_fused = any(
-        getattr(step, "fused", False)
-        and not getattr(step, "is_input_conv", False)
-        and getattr(step, "compiled", None) is None
-        for step in plan.steps
+    # Only the NumPy fused xor-threshold kernel reads the column tile: the
+    # compiled kernels, the input conv's GEMM and the float heads do not.
+    uses_col_tile = any(
+        getattr(step, "uses_col_tile", False) for step in plan.steps
     )
 
     best = {"threads": 1, "row_tile": None, "col_tile": None, "chunk_rows": None}
@@ -361,7 +360,7 @@ def tune_network(
         ms = measure(row_tile=row_tile)
         if ms < best_ms:
             best_ms, best["row_tile"] = ms, row_tile
-    if uses_numpy_fused:  # compiled kernels ignore the column tile
+    if uses_col_tile:
         for col_tile in _COL_TILE_CANDIDATES:
             ms = measure(col_tile=col_tile)
             if ms < best_ms:

@@ -51,16 +51,16 @@ def im2col_nhwc(
     n, h, w, c = x.shape
     oh = conv_output_size(h, kernel_size, stride, padding)
     ow = conv_output_size(w, kernel_size, stride, padding)
-    windows = _conv_windows(x, kernel_size, stride, padding, pad_value)
+    windows = conv_windows(x, kernel_size, stride, padding, pad_value)
     return np.ascontiguousarray(windows).reshape(n, oh, ow, kernel_size * kernel_size * c)
 
 
-def _conv_windows(
+def conv_windows(
     x: np.ndarray,
     kernel_size: int,
-    stride: int,
-    padding: int,
-    pad_value: float,
+    stride: int = 1,
+    padding: int = 0,
+    pad_value: float = 0.0,
 ) -> np.ndarray:
     """Strided ``(N, OH, OW, KH, KW, C)`` view of all convolution windows.
 
@@ -85,9 +85,7 @@ def gather_patches_nhwc(
     """Gather convolution windows into a flat ``(N*OH*OW, KH*KW*C)`` matrix.
 
     Like :func:`im2col_nhwc` but with an optional preallocated destination;
-    ``out`` may have a different dtype than ``x`` (the copy casts), which
-    lets the plan executor gather integer image patches directly into a
-    reusable float64 arena buffer for the exact-GEMM input convolution.
+    ``out`` may have a different dtype than ``x`` (the copy casts).
     """
     x = np.asarray(x)
     if x.ndim != 4:
@@ -98,9 +96,41 @@ def gather_patches_nhwc(
     if out is None:
         patches = im2col_nhwc(x, kernel_size, stride, padding, pad_value)
         return patches.reshape(n * oh * ow, kernel_size * kernel_size * c)
-    windows = _conv_windows(x, kernel_size, stride, padding, pad_value)
+    windows = conv_windows(x, kernel_size, stride, padding, pad_value)
     np.copyto(out.reshape(n, oh, ow, kernel_size, kernel_size, c), windows)
     return out
+
+
+def gather_patch_rows(
+    windows: np.ndarray, out: np.ndarray, row_start: int, row_stop: int
+) -> None:
+    """Gather rows ``[row_start, row_stop)`` of the flattened patch matrix.
+
+    ``windows`` is the ``(N, OH, OW, KH, KW, C)`` view from
+    :func:`conv_windows`; row ``r`` of the ``(N*OH*OW, KH*KW*C)`` matrix
+    ``out`` is the window of image ``r // (OH*OW)`` at output position
+    ``(r // OW % OH, r % OW)``.  The view's leading axes cannot be merged
+    without a copy, so the gather copies whole output lines of one image in
+    one vectorized copy and partial lines at the range's ends on their own.
+    The copy casts, so the execution plan's tiles gather integer image
+    patches straight into their float GEMM buffer.
+    """
+    oh, ow = windows.shape[1:3]
+    window = windows.shape[3:]
+    r = row_start
+    while r < row_stop:
+        image, position = divmod(r, oh * ow)
+        oy, ox = divmod(position, ow)
+        if ox or row_stop - r < ow:  # a partial output line
+            stop = min(row_stop, r - ox + ow)
+            np.copyto(out[r:stop].reshape((stop - r,) + window),
+                      windows[image, oy, ox:ox + stop - r])
+        else:  # whole lines, up to the end of this image
+            lines = min((row_stop - r) // ow, oh - oy)
+            stop = r + lines * ow
+            np.copyto(out[r:stop].reshape((lines, ow) + window),
+                      windows[image, oy:oy + lines])
+        r = stop
 
 
 def packed_patch_matrix(

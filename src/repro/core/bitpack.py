@@ -413,9 +413,10 @@ def threshold_pack_rows(
 
     ``bit[i, j] = (x1[i, j] >= threshold[j]) ^ flip[j]``, packed along ``j``
     into ``out_words[row_start:row_stop]``.  Used by the plan executor for
-    the bit-plane input convolution, whose multi-plane accumulation already
-    materialized ``x1`` — the comparison stays in the integer domain instead
-    of round-tripping through float64 as the layerwise path does.
+    the input convolution, whose exact GEMM materializes integer-valued
+    ``x1`` rows — the comparison stays exact against the integer
+    thresholds instead of re-deriving them in float as the layerwise path
+    does.
     """
     rows = x1[row_start:row_stop]
     bits = rows >= threshold

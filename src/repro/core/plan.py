@@ -14,17 +14,21 @@ An :class:`ExecutionPlan` compiles the network once instead:
   xor-popcount layers, folded into the *accumulator* domain: the kernel
   tests the raw disagreement count and emits packed bits directly, so
   neither the ±1 pre-activation ``x1`` nor any unpacked/float intermediate
-  is ever materialized between binary blocks.
+  is ever materialized between binary blocks.  A binary layer with float
+  output lowers to the same step with a float epilogue (the layer's own
+  affine of ``x1``), and the input convolution to an exact float32 (or
+  float64) GEMM followed by an integer threshold-pack.
 * **Arena memory planning** — activations in a sequential chain die as soon
   as the next step has consumed them, so fused outputs ping-pong between
-  two arena slots and all patch gathers share one scratch slot.  Arenas are
+  two arena slots and all patch gathers share one scratch slot (as do the
+  input conv's ``x1`` map and the float heads' popcount counts).  Arenas are
   pooled per plan and reused across ``run_batch`` chunks and serving
   requests; concurrent executions each borrow their own arena.
 * **Multi-threaded tile execution** — fused GEMMs split their patch rows
-  into tiles dispatched on a shared thread pool (NumPy releases the GIL in
-  the xor/popcount/packbits inner loops).  ``REPRO_NUM_THREADS`` (or the
-  engine's ``num_threads``) controls the fan-out; the default is
-  ``os.cpu_count()``.
+  into tiles dispatched on a shared thread pool (NumPy, BLAS and the
+  compiled kernels release the GIL in their inner loops).
+  ``REPRO_NUM_THREADS`` (or the engine's ``num_threads``) controls the
+  fan-out; the default is ``os.cpu_count()``.
 
 Plans are cached on the network (:func:`get_plan`) and — like the layers'
 packed-weight caches — validated by identity snapshots of every array they
@@ -62,8 +66,20 @@ from repro.core.tensor import Layout, Tensor, conv_output_size
 _ROW_TILE = 512
 
 #: Lower bound on tile rows when splitting for the thread pool — below this
-#: the per-task dispatch overhead beats the parallelism.
+#: the per-task dispatch overhead beats the parallelism ...
 _MIN_ROW_TILE = 64
+
+#: ... unless a row carries so much work (filters × packed words, or
+#: filters × patch volume for the input conv's GEMM) that fewer rows already
+#: amortize the dispatch: the floor drops to ``_MIN_TILE_WORK`` units of
+#: work per tile, so the 16-row dense heads still fan out over the pool.
+_MIN_TILE_WORK = 1 << 21
+
+#: Upper bound on one input-conv tile's GEMM buffers (patch rows + x1 rows),
+#: in place of :data:`_ROW_TILE`: a row there is only ``(K²·Cin + Cout)``
+#: floats, and every tile hands the GIL over three times (gather, GEMM,
+#: threshold-pack), so 512-row tiles spend more time waiting than working.
+_INPUT_TILE_BYTES = 1 << 20
 
 
 def positive_int(value, name: str) -> int:
@@ -128,19 +144,24 @@ if hasattr(os, "register_at_fork"):  # POSIX only; spawn contexts start clean
     os.register_at_fork(after_in_child=_reset_pools_after_fork)
 
 
-def _row_tiles(rows: int, threads: int,
-               row_tile: Optional[int] = None) -> List[Tuple[int, int]]:
+def _row_tiles(rows: int, threads: int, row_tile: Optional[int] = None,
+               row_work: int = 0) -> List[Tuple[int, int]]:
     """Split ``rows`` into contiguous tile ranges for (threaded) execution.
 
     ``row_tile`` overrides the built-in upper bound — the knob the
     auto-tuner (:mod:`repro.core.backends.tuner`) searches per host.
+    ``row_work`` is the work one row carries (see :data:`_MIN_TILE_WORK`);
+    it only lowers the dispatch-overhead floor, never the upper bound.
     """
     tile = _ROW_TILE if row_tile is None else positive_int(row_tile, "row_tile")
     if threads > 1:
         # Aim for a few tiles per worker so uneven tile costs still balance,
         # without shrinking tiles below the dispatch-overhead floor.
+        floor = _MIN_ROW_TILE
+        if row_work > 0:
+            floor = max(1, min(floor, -(-_MIN_TILE_WORK // row_work)))
         balanced = -(-rows // (threads * 4))
-        tile = min(tile, max(_MIN_ROW_TILE, balanced))
+        tile = min(tile, max(floor, balanced))
     return [(r0, min(r0 + tile, rows)) for r0 in range(0, rows, tile)]
 
 
@@ -196,9 +217,15 @@ class _ExecContext:
         self.row_tile = row_tile
         self.col_tile = col_tile
 
-    def run_tiles(self, rows: int, work: Callable[[int, int], None]) -> None:
-        """Run ``work(r0, r1)`` over row tiles, fanned out when possible."""
-        tiles = _row_tiles(rows, self.threads, self.row_tile)
+    def run_tiles(self, rows: int, work: Callable[[int, int], None],
+                  row_work: int = 0, row_tile: Optional[int] = None) -> None:
+        """Run ``work(r0, r1)`` over row tiles, fanned out when possible.
+
+        ``row_tile`` replaces the execution's row-tile bound for this call.
+        """
+        tiles = _row_tiles(rows, self.threads,
+                           self.row_tile if row_tile is None else row_tile,
+                           row_work)
         if self.pool is None or len(tiles) <= 1:
             for r0, r1 in tiles:
                 work(r0, r1)
@@ -226,73 +253,178 @@ class LayerStep:
 
 
 class _FusedStepBase:
-    """Shared bookkeeping for the fused packed steps."""
+    """Shared bookkeeping and epilogues of the fused packed steps.
+
+    A step ends in one of two epilogues.  With a ``threshold`` it emits
+    packed bits; without one (``float_out``) it is a float head — a binary
+    layer with ``output_binary=False`` — and emits the layer's float32
+    ``affine_values`` of ``x1``.
+    """
 
     fused = True
+    is_input_conv = False
+    #: Whether a compiled backend has kernels for this step.
+    compilable = True
 
     def __init__(self, layer, layer_start: int, layer_stop: int,
-                 threshold: np.ndarray, flip: np.ndarray,
-                 out_word_size: int, out_slot: str) -> None:
+                 threshold: Optional[np.ndarray], flip: Optional[np.ndarray],
+                 out_word_size: Optional[int], out_slot: str,
+                 length: int) -> None:
         self.layer = layer
         self.layer_start = layer_start
         self.layer_stop = layer_stop
-        #: Integer x1-domain decision boundary: bit = (x1 >= threshold) ^ flip.
+        #: Integer x1-domain decision boundary: bit = (x1 >= threshold) ^ flip;
+        #: ``None`` for a float head.
         self.threshold = threshold
         self.flip = flip
         self.out_word_size = out_word_size
         self.out_slot = out_slot
+        #: Dot-product length: x1 = length − 2·(xor-popcount count).
+        self.length = length
         self.weights_packed = layer.weights_packed  # compile-time snapshot
+        self.acc_threshold = None
+        if threshold is not None and not self.is_input_conv:
+            # Fold the boundary into the accumulator domain:
+            #   x1 = L − 2·d  ⇒  (x1 >= t) ⇔ (d <= (L − t) // 2),
+            # clipped to the feasible count range [−1, L] so it fits the
+            # kernel's int32 accumulator.
+            acc = np.floor_divide(length - threshold, 2)
+            self.acc_threshold = np.clip(acc, -1, length).astype(np.int32)
         #: Compiled kernel backend attached by
         #: :func:`repro.core.backends.select_for_plan` after the step's
         #: kernels were verified bit-exact against NumPy; ``None`` runs the
         #: NumPy reference path.
         self.compiled = None
 
+    @property
+    def float_out(self) -> bool:
+        return self.threshold is None
+
+    @property
+    def uses_col_tile(self) -> bool:
+        """Whether the step honours the ``col_tile`` knob: only the NumPy
+        fused xor-threshold kernel does."""
+        return (self.compiled is None and not self.float_out
+                and not self.is_input_conv)
+
+    def _describe_out(self) -> str:
+        span = self.layer_stop - self.layer_start
+        folded = "" if span == 1 else f" [folds {span} layers]"
+        out = "float32 out" if self.float_out else f"w{self.out_word_size} packed out"
+        return out + folded
+
+    def _out_buffer(self, ctx: _ExecContext, rows: int, channels: int) -> np.ndarray:
+        if self.float_out:
+            return ctx.arena.view(self.out_slot, (rows, channels), np.float32)
+        wc_out = bitpack.words_per_channel(channels, self.out_word_size)
+        return ctx.arena.view(
+            self.out_slot, (rows, wc_out), bitpack.word_dtype(self.out_word_size)
+        )
+
+    def _out_tensor(self, data: np.ndarray, channels: int) -> Tensor:
+        if self.float_out:
+            return Tensor(data, Layout.NHWC)
+        return Tensor(data, Layout.NHWC, packed=True, true_channels=channels)
+
+    def _xor_popcount_tiles(self, patches: np.ndarray, filters: np.ndarray,
+                            rows: int, ctx: _ExecContext,
+                            gather: Optional[Callable[[int, int], None]] = None,
+                            ) -> np.ndarray:
+        """Run the xor-popcount GEMM and the epilogue over row tiles.
+
+        ``gather(r0, r1)``, if given, fills the tile's patch rows first.
+        Binary output goes through the fused accumulate-threshold-pack
+        kernel; a float head runs the plain popcount GEMM into the shared
+        ``acc`` scratch slot and applies the layer's affine per tile.
+        """
+        compiled = self.compiled
+        cols = filters.shape[0]
+        out = self._out_buffer(ctx, rows, cols)
+        if self.float_out:
+            disagree = ctx.arena.view("acc", (rows, cols), np.int64)
+            affine = self.layer.affine_values
+
+            def epilogue(r0: int, r1: int) -> None:
+                if compiled is None:
+                    bitpack.xor_popcount_gemm(patches[r0:r1], filters,
+                                              out=disagree[r0:r1])
+                else:
+                    compiled.xor_popcount_gemm_rows(patches, filters,
+                                                    disagree, r0, r1)
+                out[r0:r1] = affine(self.length - 2 * disagree[r0:r1])
+        else:
+            fused_rows = (
+                bitpack.fused_xor_threshold_rows if compiled is None
+                else compiled.fused_xor_threshold_rows
+            )
+
+            def epilogue(r0: int, r1: int) -> None:
+                fused_rows(
+                    patches, filters, self.acc_threshold, self.flip,
+                    out, r0, r1, self.out_word_size, col_tile=ctx.col_tile,
+                )
+
+        def work(r0: int, r1: int) -> None:
+            if gather is not None:
+                gather(r0, r1)
+            epilogue(r0, r1)
+
+        ctx.run_tiles(rows, work, row_work=cols * filters.shape[1])
+        return out
+
 
 class FusedConvStep(_FusedStepBase):
-    """Fused binary convolution → threshold → packed bits (Eqns. 1/5–9)."""
+    """Fused convolution → threshold → packed bits (Eqns. 1/2/5–9).
+
+    Binary convolutions run the xor-popcount GEMM on packed patches.  The
+    input convolution (``InputConv2d``) is lowered to an exact float GEMM
+    instead: every partial sum of the integer convolution is an integer of
+    magnitude at most ``x1_magnitude_bound``, so BLAS reproduces the
+    bit-plane accumulation of Eqn. (2) bit-exactly in any summation order —
+    in float32 (``sgemm``) while that bound is below 2^24, in float64
+    beyond.  The bit-plane kernels model the paper's GPU popcount path and
+    remain the layerwise reference the tests compare against.
+    """
 
     def __init__(self, layer, layer_start: int, layer_stop: int,
-                 threshold: np.ndarray, flip: np.ndarray,
-                 out_word_size: int, out_slot: str) -> None:
-        super().__init__(layer, layer_start, layer_stop, threshold, flip,
-                         out_word_size, out_slot)
+                 threshold: Optional[np.ndarray], flip: Optional[np.ndarray],
+                 out_word_size: Optional[int], out_slot: str) -> None:
         self.is_input_conv = isinstance(layer, InputConv2d)
+        super().__init__(layer, layer_start, layer_stop, threshold, flip,
+                         out_word_size, out_slot,
+                         layer.kernel_size ** 2 * layer.in_channels)
         if self.is_input_conv:
-            # The plan lowers the first layer to an exact float64 GEMM: the
-            # 8-bit integer convolution's every intermediate is an integer
-            # far below 2^53, so BLAS dgemm reproduces the bit-plane
-            # accumulation of Eqn. (2) bit-exactly while running orders of
-            # magnitude faster on CPU (the bit-plane kernels model the
-            # paper's GPU popcount path and survive as the layerwise
-            # reference the tests compare against).
-            self.float_weights = np.ascontiguousarray(
-                (2.0 * layer.weight_bits.astype(np.float64) - 1.0).reshape(
+            self.gemm_dtype = np.dtype(
+                np.float32 if layer.x1_magnitude_bound < 2 ** 24 else np.float64
+            )
+            self.gemm_weights = np.ascontiguousarray(
+                (2 * layer.weight_bits.astype(self.gemm_dtype) - 1).reshape(
                     -1, layer.out_channels
                 )
             )
+            # The compiled kernel is the float32 threshold-pack; a float64
+            # GEMM or a float head leaves it nothing to run.
+            self.compilable = self.gemm_dtype == np.float32 and not self.float_out
+            if self.compilable:
+                # Thresholds lie in [−bound, bound], so int32 holds them and
+                # the compiled threshold-pack compares integers throughout.
+                self.threshold = threshold.astype(np.int32)
         else:
             self.flat_filters = np.ascontiguousarray(
                 self.weights_packed.reshape(layer.out_channels, -1)
             )
-            # Fold the boundary into the accumulator domain:
-            #   x1 = L − 2·d  ⇒  (x1 >= t) ⇔ (d <= (L − t) // 2),
-            # clipped to the feasible count range [−1, L] so it fits the
-            # kernel's int32 accumulator.
-            length = layer.kernel_size ** 2 * layer.in_channels
-            acc = np.floor_divide(length - threshold, 2)
-            self.acc_threshold = np.clip(acc, -1, length).astype(np.int32)
 
     @property
     def describe(self) -> str:
         layer = self.layer
-        kind = "input-conv(exact-gemm)" if self.is_input_conv else "conv(xor-popcount)"
-        span = self.layer_stop - self.layer_start
-        folded = "" if span == 1 else f" [folds {span} layers]"
+        kind = (
+            f"input-conv(exact-gemm {self.gemm_dtype.name})" if self.is_input_conv
+            else "conv(xor-popcount)"
+        )
         return (
             f"fused {kind} {layer.name}: {layer.in_channels}→{layer.out_channels} "
             f"k{layer.kernel_size} s{layer.stride} p{layer.padding}, "
-            f"w{self.out_word_size} packed out{folded}"
+            f"{self._describe_out()}"
         )
 
     def run(self, x: Tensor, ctx: _ExecContext) -> Tensor:
@@ -345,28 +477,9 @@ class FusedConvStep(_FusedStepBase):
             )
         if patches.shape[1] != self.flat_filters.shape[1]:
             raise ValueError("activation and filter packing widths do not match")
-        wc_out = bitpack.words_per_channel(layer.out_channels, self.out_word_size)
-        out = ctx.arena.view(
-            self.out_slot, (rows, wc_out), bitpack.word_dtype(self.out_word_size)
-        )
-        fused_rows = (
-            bitpack.fused_xor_threshold_rows if compiled is None
-            else compiled.fused_xor_threshold_rows
-        )
-
-        def work(r0: int, r1: int) -> None:
-            if gather is not None:
-                gather(r0, r1)
-            fused_rows(
-                patches, self.flat_filters, self.acc_threshold, self.flip,
-                out, r0, r1, self.out_word_size, col_tile=ctx.col_tile,
-            )
-
-        ctx.run_tiles(rows, work)
-        return Tensor(
-            out.reshape(n, oh, ow, wc_out), Layout.NHWC,
-            packed=True, true_channels=layer.out_channels,
-        )
+        out = self._xor_popcount_tiles(patches, self.flat_filters, rows, ctx, gather)
+        return self._out_tensor(out.reshape((n, oh, ow) + out.shape[1:]),
+                                layer.out_channels)
 
     def _run_input_conv(self, x: Tensor, ctx: _ExecContext) -> Tensor:
         layer = self.layer
@@ -390,59 +503,60 @@ class FusedConvStep(_FusedStepBase):
                     f"image values do not fit in {layer.input_bits} bits"
                 )
         k = layer.kernel_size
-        n, h, w = image.shape[:3]
-        oh = conv_output_size(h, k, layer.stride, layer.padding)
-        ow = conv_output_size(w, k, layer.stride, layer.padding)
+        windows = binary_conv.conv_windows(image, k, layer.stride, layer.padding)
+        n, oh, ow = windows.shape[:3]
         rows = n * oh * ow
         cout = layer.out_channels
-        volume = k * k * layer.in_channels
-        # Gather integer patches straight into a float64 arena buffer (the
-        # copyto casts), multiply by the ±1 filter matrix with one dgemm —
-        # exact, see __init__ — then threshold + pack the float x1 rows.
-        patches = ctx.arena.view("patch", (rows, volume), np.float64)
-        binary_conv.gather_patches_nhwc(
-            image, k, layer.stride, layer.padding, out=patches
-        )
-        x1 = ctx.arena.view("x1", (rows, cout), np.float64)
-        np.matmul(patches, self.float_weights, out=x1)
-        wc_out = bitpack.words_per_channel(cout, self.out_word_size)
-        out = ctx.arena.view(
-            self.out_slot, (rows, wc_out), bitpack.word_dtype(self.out_word_size)
-        )
-        ctx.run_tiles(
-            rows,
-            lambda r0, r1: bitpack.threshold_pack_rows(
-                x1, self.threshold, self.flip, out, r0, r1,
-                self.out_word_size,
-            ),
-        )
-        return Tensor(
-            out.reshape(n, oh, ow, wc_out), Layout.NHWC,
-            packed=True, true_channels=cout,
-        )
+        volume = self.gemm_weights.shape[0]
+        # Per row tile: gather integer patches straight into the GEMM-dtype
+        # arena buffer (the copy casts), one exact BLAS GEMM against the ±1
+        # filter matrix, then the epilogue — integer threshold + pack (the
+        # compiled kernel when attached) or the float head's affine.
+        patches = ctx.arena.view("patch", (rows, volume), self.gemm_dtype)
+        x1 = ctx.arena.view("x1", (rows, cout), self.gemm_dtype)
+        out = self._out_buffer(ctx, rows, cout)
+        if self.float_out:
+            affine = layer.affine_values
+
+            def epilogue(r0: int, r1: int) -> None:
+                out[r0:r1] = affine(x1[r0:r1])
+        else:
+            pack = (
+                bitpack.threshold_pack_rows if self.compiled is None
+                else self.compiled.threshold_pack_rows
+            )
+
+            def epilogue(r0: int, r1: int) -> None:
+                pack(x1, self.threshold, self.flip, out, r0, r1,
+                     self.out_word_size)
+
+        def work(r0: int, r1: int) -> None:
+            binary_conv.gather_patch_rows(windows, patches, r0, r1)
+            np.matmul(patches[r0:r1], self.gemm_weights, out=x1[r0:r1])
+            epilogue(r0, r1)
+
+        row_bytes = (volume + cout) * self.gemm_dtype.itemsize
+        ctx.run_tiles(rows, work, row_work=cout * volume,
+                      row_tile=max(1, _INPUT_TILE_BYTES // row_bytes))
+        return self._out_tensor(out.reshape((n, oh, ow) + out.shape[1:]), cout)
 
 
 class FusedDenseStep(_FusedStepBase):
-    """Fused binary dense → accumulator threshold → packed bits."""
+    """Fused binary dense → accumulator threshold → packed bits (or float head)."""
+
+    def __init__(self, layer, layer_start: int, layer_stop: int,
+                 threshold: Optional[np.ndarray], flip: Optional[np.ndarray],
+                 out_word_size: Optional[int], out_slot: str) -> None:
+        super().__init__(layer, layer_start, layer_stop, threshold, flip,
+                         out_word_size, out_slot, layer.in_features)
 
     @property
     def describe(self) -> str:
         layer = self.layer
-        span = self.layer_stop - self.layer_start
-        folded = "" if span == 1 else f" [folds {span} layers]"
         return (
             f"fused dense(xor-popcount) {layer.name}: "
-            f"{layer.in_features}→{layer.out_features}, "
-            f"w{self.out_word_size} packed out{folded}"
+            f"{layer.in_features}→{layer.out_features}, {self._describe_out()}"
         )
-
-    def __init__(self, layer, layer_start: int, layer_stop: int,
-                 threshold: np.ndarray, flip: np.ndarray,
-                 out_word_size: int, out_slot: str) -> None:
-        super().__init__(layer, layer_start, layer_stop, threshold, flip,
-                         out_word_size, out_slot)
-        acc = np.floor_divide(layer.in_features - threshold, 2)
-        self.acc_threshold = np.clip(acc, -1, layer.in_features).astype(np.int32)
 
     def run(self, x: Tensor, ctx: _ExecContext) -> Tensor:
         layer = self.layer
@@ -463,28 +577,13 @@ class FusedDenseStep(_FusedStepBase):
             )
         if packed.shape[1] != self.weights_packed.shape[1]:
             raise ValueError("operand packing widths do not match")
-        packed = np.ascontiguousarray(packed)
-        rows = packed.shape[0]
-        wc_out = bitpack.words_per_channel(layer.out_features, self.out_word_size)
-        out = ctx.arena.view(
-            self.out_slot, (rows, wc_out), bitpack.word_dtype(self.out_word_size)
-        )
-        fused_rows = (
-            bitpack.fused_xor_threshold_rows if self.compiled is None
-            else self.compiled.fused_xor_threshold_rows
-        )
         weights = self.weights_packed
         if self.compiled is not None and not weights.flags["C_CONTIGUOUS"]:
             weights = np.ascontiguousarray(weights)
-        ctx.run_tiles(
-            rows,
-            lambda r0, r1: fused_rows(
-                packed, weights, self.acc_threshold, self.flip,
-                out, r0, r1, self.out_word_size, col_tile=ctx.col_tile,
-            ),
+        out = self._xor_popcount_tiles(
+            np.ascontiguousarray(packed), weights, packed.shape[0], ctx
         )
-        return Tensor(out, Layout.NHWC, packed=True,
-                      true_channels=layer.out_features)
+        return self._out_tensor(out, layer.out_features)
 
 
 class ExecutionPlan:
@@ -609,10 +708,12 @@ class ExecutionPlan:
             Optional list; ``(step, seconds)`` is appended per step so the
             engine can attribute wall clock to layers.
         row_tile, col_tile:
-            Tile-shape overrides (rows per tile, filter columns per inner
-            block).  ``None`` keeps the built-in defaults; the per-host
-            auto-tuner (:mod:`repro.core.backends.tuner`) supplies
-            measured winners.  Tiling never changes results, only speed.
+            Tile-shape overrides (rows per tile of the xor-popcount steps —
+            the input conv bounds its tiles by bytes instead — and filter
+            columns per inner block of the NumPy fused kernel).  ``None``
+            keeps the built-in defaults; the per-host auto-tuner
+            (:mod:`repro.core.backends.tuner`) supplies measured winners.
+            Tiling never changes results, only speed.
         """
         current = self.coerce_input(x)
         threads = default_num_threads() if threads is None else max(1, int(threads))
@@ -663,11 +764,12 @@ class ExecutionPlan:
 def _match_fused_block(layers, index):
     """Match a fusable block starting at ``layers[index]``.
 
-    Returns ``(consumed, predicate, out_word_size)`` or ``None``.  A block
-    is either a single binary layer that packs its own output
-    (``output_binary=True``) or the unfused three-layer spelling
-    ``conv/dense → BatchNorm2d → Binarize``; ``predicate`` replicates the
-    matched path's exact arithmetic (including float32 casts) per channel.
+    Returns ``(consumed, predicate, out_word_size)``.  A block is a single
+    binary layer that packs its own output (``output_binary=True``), the
+    unfused three-layer spelling ``conv/dense → BatchNorm2d → Binarize``
+    — for both, ``predicate`` replicates the matched path's exact
+    arithmetic (including float32 casts) per channel — or else a single
+    float head, returned as ``(1, None, None)``.
     """
     layer = layers[index]
     channels = (
@@ -686,7 +788,7 @@ def _match_fused_block(layers, index):
                 return binarize_sign(_bn.normalize_values(_layer.affine_values(x1)))
 
             return 3, predicate, sign.word_size
-    return None
+    return 1, None, None
 
 
 def _fused_attr_snapshots(step) -> List[Tuple[object, str, object]]:
@@ -702,86 +804,82 @@ def _fused_attr_snapshots(step) -> List[Tuple[object, str, object]]:
     return snapshots
 
 
+def _slot_bytes(step, out_shape: tuple) -> Dict[str, int]:
+    """Per-image bytes each arena slot holds while ``step`` runs."""
+    layer = step.layer
+    positions = int(np.prod(out_shape[:-1]))  # 1 for a dense step
+    channels = out_shape[-1]
+    if step.float_out:
+        out_bytes = positions * channels * 4
+    else:
+        out_bytes = positions * bitpack.words_per_channel(
+            channels, step.out_word_size
+        ) * np.dtype(bitpack.word_dtype(step.out_word_size)).itemsize
+    slots = {step.out_slot: out_bytes}
+    if step.is_input_conv:
+        # GEMM-dtype patch matrix and x1 map.
+        itemsize = step.gemm_dtype.itemsize
+        volume = layer.kernel_size ** 2 * layer.in_channels
+        slots["patch"] = positions * volume * itemsize
+        slots["x1"] = positions * channels * itemsize
+        return slots
+    if isinstance(step, FusedConvStep) and not (
+        layer.kernel_size == 1 and layer.padding == 0 and layer.stride == 1
+    ):
+        pixel_bytes = bitpack.words_per_channel(
+            layer.in_channels, layer.word_size
+        ) * np.dtype(bitpack.word_dtype(layer.word_size)).itemsize
+        slots["patch"] = positions * layer.kernel_size ** 2 * pixel_bytes
+    if step.float_out:
+        slots["acc"] = positions * channels * 8  # int64 disagreement counts
+    return slots
+
+
 def compile_plan(network) -> ExecutionPlan:
     """Compile ``network`` into an :class:`ExecutionPlan`."""
     shapes = network.layer_shapes()
     layers = list(network.layers)
     steps: List[object] = []
     snapshots: List[Tuple[object, str, object]] = []
-    per_sample_peak = 0
+    # Fused steps work in the arena, whose slots each grow to the largest
+    # view any step takes of them; fallback steps allocate afresh.
+    arena_slots: Dict[str, int] = {}
+    fallback_peak = 0
     fused_index = 0
     i = 0
     while i < len(layers):
         layer = layers[i]
-        match = None
-        if isinstance(layer, (InputConv2d, BinaryConv2d, BinaryDense)):
-            match = _match_fused_block(layers, i)
-        if match is None:
+        if not isinstance(layer, (InputConv2d, BinaryConv2d, BinaryDense)):
             step = LayerStep(layer, i)
             in_shape, out_shape = shapes[i][1], shapes[i][2]
             working = 4 * (int(np.prod(in_shape)) + int(np.prod(out_shape)))
             steps.append(step)
-            per_sample_peak = max(per_sample_peak, working)
+            fallback_peak = max(fallback_peak, working)
             i += 1
             continue
-        consumed, predicate, out_word_size = match
-        bound = layer.x1_magnitude_bound
-        out_slot = f"act{fused_index % 2}"
+        consumed, predicate, out_word_size = _match_fused_block(layers, i)
+        threshold = flip = None
+        if predicate is not None:
+            bound = layer.x1_magnitude_bound
+            threshold, flip = exact_integer_threshold(
+                predicate, shapes[i][2][-1], -bound, bound
+            )
+        step_type = FusedDenseStep if isinstance(layer, BinaryDense) else FusedConvStep
+        step = step_type(
+            layer, i, i + consumed, threshold, flip, out_word_size,
+            f"act{fused_index % 2}",
+        )
         fused_index += 1
-        if isinstance(layer, BinaryDense):
-            threshold, flip = exact_integer_threshold(
-                predicate, layer.out_features, -bound, bound
-            )
-            step = FusedDenseStep(
-                layer, i, i + consumed, threshold, flip, out_word_size, out_slot
-            )
-            in_words = bitpack.words_per_channel(layer.in_features, layer.word_size)
-            out_words = bitpack.words_per_channel(layer.out_features, out_word_size)
-            working = (
-                in_words * np.dtype(bitpack.word_dtype(layer.word_size)).itemsize
-                + out_words * np.dtype(bitpack.word_dtype(out_word_size)).itemsize
-            )
-        else:
-            threshold, flip = exact_integer_threshold(
-                predicate, layer.out_channels, -bound, bound
-            )
-            step = FusedConvStep(
-                layer, i, i + consumed, threshold, flip, out_word_size, out_slot
-            )
-            in_shape = shapes[i][1]
-            oh = conv_output_size(
-                in_shape[0], layer.kernel_size, layer.stride, layer.padding
-            )
-            ow = conv_output_size(
-                in_shape[1], layer.kernel_size, layer.stride, layer.padding
-            )
-            wc_in = bitpack.words_per_channel(layer.in_channels, layer.word_size)
-            wc_out = bitpack.words_per_channel(layer.out_channels, out_word_size)
-            word_bytes = np.dtype(bitpack.word_dtype(layer.word_size)).itemsize
-            out_bytes = oh * ow * wc_out * np.dtype(
-                bitpack.word_dtype(out_word_size)
-            ).itemsize
-            if isinstance(layer, InputConv2d):
-                # Exact-GEMM lowering: float64 patches + float64 x1 map.
-                volume = layer.kernel_size ** 2 * layer.in_channels
-                working = (
-                    int(np.prod(in_shape))
-                    + oh * ow * volume * 8
-                    + oh * ow * layer.out_channels * 8
-                    + out_bytes
-                )
-            else:
-                in_bytes = in_shape[0] * in_shape[1] * wc_in * word_bytes
-                patch_bytes = oh * ow * layer.kernel_size ** 2 * wc_in * word_bytes
-                working = in_bytes + patch_bytes + out_bytes
+        for slot, nbytes in _slot_bytes(step, shapes[i][2]).items():
+            arena_slots[slot] = max(arena_slots.get(slot, 0), nbytes)
         snapshots.extend(_fused_attr_snapshots(step))
         for extra in layers[i + 1:i + consumed]:
             if isinstance(extra, BatchNorm2d):
                 snapshots.append((extra, "params", extra.params))
         steps.append(step)
-        per_sample_peak = max(per_sample_peak, int(working))
         i += consumed
-    return ExecutionPlan(network, steps, snapshots, per_sample_peak)
+    per_sample = max(sum(arena_slots.values()), fallback_peak)
+    return ExecutionPlan(network, steps, snapshots, per_sample)
 
 
 def get_plan(network) -> ExecutionPlan:

@@ -151,11 +151,14 @@ class TestZooBitExactness:
         report = plan.select_backend(name)
         assert plan.backend_report()["backend"] == name
         assert set(report.values()) <= {"numpy", name}
-        for key, value in report.items():
-            if "input-conv" in key or "layer " in key:
-                # The exact-GEMM input conv and fallback layers never
+        for step, value in zip(plan.steps, report.values()):
+            if not getattr(step, "compilable", False):
+                # Fallback layers (and a float64-GEMM input conv) never
                 # adopt compiled kernels.
                 assert value == "numpy"
+        # The float32 exact-GEMM input conv has a compiled kernel now.
+        assert "float32" in plan.steps[0].describe
+        assert plan.steps[0].compilable
 
     def test_selection_is_idempotent_and_switchable(self):
         name, impl = compiled_impl()
@@ -215,23 +218,37 @@ class TestFallback:
             def __init__(self, inner):
                 self._inner = inner
                 self.packed_patch_rows = inner.packed_patch_rows
-                self.xor_popcount_gemm_rows = inner.xor_popcount_gemm_rows
 
+            # Each kernel flips a bit: the probe must catch every one.
             def fused_xor_threshold_rows(self, a, b, thresh, flip, out,
                                          r0, r1, word_size, col_tile=None):
                 self._inner.fused_xor_threshold_rows(
                     a, b, thresh, flip, out, r0, r1, word_size
                 )
-                out[r0:r1] ^= 1  # flip a bit: must be caught by the probe
+                out[r0:r1] ^= 1
+
+            def xor_popcount_gemm_rows(self, a, b, out, r0, r1):
+                self._inner.xor_popcount_gemm_rows(a, b, out, r0, r1)
+                out[r0:r1] ^= 1
+
+            def threshold_pack_rows(self, x1, thresh, flip, out, r0, r1,
+                                    word_size):
+                self._inner.threshold_pack_rows(x1, thresh, flip, out, r0, r1,
+                                                word_size)
+                out[r0:r1] ^= 1
 
         network = zoo_network("MicroCNN")
         plan = plan_mod.get_plan(network)
-        for step in plan.steps:
-            if getattr(step, "fused", False) and not getattr(
-                step, "is_input_conv", False
-            ):
-                assert backends.verify_fused_step(impl, step)
-                assert not backends.verify_fused_step(Broken(impl), step)
+        eligible = [step for step in plan.steps
+                    if getattr(step, "compilable", False)]
+        # The input conv and the float head are eligible too.
+        assert any(step.is_input_conv for step in eligible)
+        assert any(step.float_out for step in eligible)
+        for step in eligible:
+            assert backends.verify_fused_step(impl, step)
+            assert not backends.verify_fused_step(Broken(impl), step)
+        report = plan.select_backend(name)
+        assert sum(value == name for value in report.values()) == len(eligible)
         plan.select_backend("numpy")  # leave the shared plan clean
 
 

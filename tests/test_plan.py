@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import bitpack
+from repro.core import backends, bitpack
 from repro.core import plan as plan_mod
 from repro.core.engine import PhoneBitEngine
 from repro.core.fusion import BatchNormParams, exact_integer_threshold
@@ -165,6 +165,130 @@ class TestPlanBitExactOnZoo:
         assert not mismatches
 
 
+def _backend_names():
+    """``numpy``, plus ``cffi`` when it builds on this host."""
+    return [name for name, reason in backends.availability().items()
+            if reason is None]
+
+
+class TestEveryBinaryLayerIsFused:
+    """The input conv and the float heads run on the fused, tiled path."""
+
+    @pytest.mark.parametrize("model", sorted(SERVING_MODELS))
+    def test_plan_matches_forward_on_every_backend(self, model, rng):
+        network = zoo_network(model)
+        plan = plan_mod.get_plan(network)
+        for step in plan.steps:
+            if not step.fused:
+                assert not isinstance(
+                    step.layer, (InputConv2d, BinaryConv2d, BinaryDense)
+                ), step.describe
+        try:
+            for batch in (1, 16):
+                images = rng.integers(
+                    0, 256, size=(batch,) + network.input_shape
+                ).astype(np.uint8)
+                expected = network.forward(images).data
+                for name in _backend_names():
+                    plan.select_backend(name)
+                    for threads in (1, 2):
+                        np.testing.assert_array_equal(
+                            plan.execute(images, threads=threads).data, expected,
+                            err_msg=f"{model} {name} batch={batch} threads={threads}",
+                        )
+        finally:
+            plan.select_backend("numpy")  # leave the shared plan clean
+
+    @pytest.mark.parametrize("model", sorted(SERVING_MODELS))
+    def test_per_sample_bytes_tracks_the_arena(self, model, rng):
+        network = zoo_network(model)
+        plan = plan_mod.compile_plan(network)  # a fresh, empty arena pool
+        images = rng.integers(
+            0, 256, size=(16,) + network.input_shape
+        ).astype(np.uint8)
+        plan.execute(images, threads=2)
+        (arena,) = plan._arenas
+        per_image = arena.nbytes / 16
+        assert abs(per_image - plan.per_sample_bytes) <= 0.1 * plan.per_sample_bytes
+
+
+class TestInputConvGemmPrecision:
+    """float32 GEMM up to its exact-integer limit, float64 beyond it."""
+
+    @staticmethod
+    def _network(input_bits, kernel, channels, out_channels=5, **layer_kwargs):
+        net = Network("edge", input_shape=(kernel + 2, kernel + 1, channels),
+                      input_dtype="uint16")
+        net.add(InputConv2d(channels, out_channels, kernel,
+                            input_bits=input_bits, name="conv1", **layer_kwargs))
+        return net
+
+    @pytest.mark.parametrize("input_bits, kernel, channels, dtype", [
+        (8, 3, 3, np.float32),
+        (16, 11, 2, np.float32),   # bound 15.9 M, just under 2^24
+        (16, 11, 3, np.float64),   # bound 23.8 M, over 2^24
+    ])
+    def test_all_ones_weights_reach_the_bound(self, input_bits, kernel,
+                                              channels, dtype):
+        identity = BatchNormParams(gamma=np.ones(5), beta=np.zeros(5),
+                                   mean=np.zeros(5), var=np.ones(5), eps=0.0)
+        net = self._network(
+            input_bits, kernel, channels, output_binary=False,
+            weight_bits=np.ones((kernel, kernel, channels, 5), dtype=np.uint8),
+            batchnorm=identity,
+        )
+        layer = net.layers[0]
+        step = plan_mod.get_plan(net).steps[0]
+        assert step.fused and step.gemm_dtype == dtype
+        assert f"exact-gemm {np.dtype(dtype).name}" in step.describe
+        images = np.full((2,) + net.input_shape, (1 << input_bits) - 1,
+                         dtype=np.uint16)
+        expected = net.forward(images).data
+        # An exact identity-BN float head returns float32(x1): every window
+        # sums to the bound exactly.
+        assert np.all(expected == np.float32(layer.x1_magnitude_bound))
+        for threads in (1, 2):
+            np.testing.assert_array_equal(
+                plan_mod.get_plan(net).execute(images, threads=threads).data,
+                expected,
+            )
+
+    @pytest.mark.parametrize("input_bits, kernel, channels, dtype", [
+        (16, 11, 2, np.float32),
+        (16, 11, 3, np.float64),
+    ])
+    def test_thresholds_split_an_odd_x1_near_the_limit(self, input_bits, kernel,
+                                                       channels, dtype):
+        top = (1 << input_bits) - 1
+        # All +1 weights; one pixel of the first window is 2 below the top,
+        # so that window's x1 is the odd integer bound − 2.  Above 2^24 no
+        # float32 is odd, so a float32 GEMM lands on one side or the other.
+        target = top * kernel ** 2 * channels - 2
+        bn = BatchNormParams(gamma=np.ones(2), beta=np.zeros(2),
+                             mean=np.array([target - 0.5, target + 0.5]),
+                             var=np.ones(2), eps=0.0)
+        net = self._network(
+            input_bits, kernel, channels, out_channels=2, batchnorm=bn,
+            weight_bits=np.ones((kernel, kernel, channels, 2), dtype=np.uint8),
+        )
+        plan = plan_mod.get_plan(net)
+        assert plan.steps[0].gemm_dtype == dtype
+        images = np.full((1,) + net.input_shape, top, dtype=np.uint16)
+        images[0, 0, 0, 0] = top - 2
+        expected = net.forward(images)
+        bits = bitpack.unpack_bits(expected.data, 2, axis=-1)
+        assert list(bits[0, 0, 0]) == [1, 0]  # x1 >= target, not >= target + 1
+        for name in _backend_names():
+            report = plan.select_backend(name)
+            # Only the float32 lowering has a compiled threshold-pack.
+            compiled = name != "numpy" and dtype == np.float32
+            assert list(report.values()) == [name if compiled else "numpy"]
+            for threads in (1, 2):
+                np.testing.assert_array_equal(
+                    plan.execute(images, threads=threads).data, expected.data
+                )
+
+
 class TestUnfusedBlockFolding:
     def _bn(self, channels, seed):
         local = np.random.default_rng(seed)
@@ -205,7 +329,11 @@ class TestUnfusedBlockFolding:
                              name="conv"))
         net.add(BatchNorm2d(self._bn(8, 9), name="bn"))
         plan = plan_mod.get_plan(net)
-        assert plan.fused_step_count == 0
+        # The float-output conv is its own (float-head) step; the BN is not
+        # folded into it.
+        assert [(step.layer_start, step.layer_stop) for step in plan.steps] \
+            == [(0, 1), (1, 2)]
+        assert plan.steps[0].float_out
         x = rng.normal(size=(2, 8, 8, 4)).astype(np.float32)
         np.testing.assert_array_equal(plan.execute(x).data, net.forward(x).data)
 
